@@ -103,7 +103,7 @@ class FolloweeRecommender:
             raise EmptyCorpusError(
                 f"user {user_id} has too few tweets to be profiled"
             )
-        user_model = self._profiles[user_id]
+        user_model = self.model.prepare_profile(self._profiles[user_id])
         already = self.dataset.graph.followees(user_id) | {user_id}
         scored = [
             ScoredCandidate(candidate=uid, score=float(self.model.score(user_model, profile)))
@@ -194,7 +194,9 @@ class HashtagRecommender:
         outgoing = self.dataset.outgoing(user_id)
         if not outgoing:
             raise EmptyCorpusError(f"user {user_id} has no tweets to profile")
-        user_model = self.model.build_user_model(self._factory.to_docs(outgoing))
+        user_model = self.model.prepare_profile(
+            self.model.build_user_model(self._factory.to_docs(outgoing))
+        )
         scored = [
             ScoredCandidate(candidate=tag, score=float(self.model.score(user_model, profile)))
             for tag, profile in self._profiles.items()

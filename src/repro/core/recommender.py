@@ -2,7 +2,9 @@
 
 Given a user model ``UM(u)`` and a set of candidate documents, the
 recommender scores every candidate with the representation model's
-similarity function and returns the candidates in decreasing score. Ties
+similarity function and returns the candidates in decreasing score. The
+user model is prepared once per call
+(:meth:`~repro.models.base.RepresentationModel.prepare_profile`). Ties
 are broken deterministically by input position, which keeps evaluation
 reproducible.
 """
@@ -51,8 +53,10 @@ class RankingRecommender:
 
     def rank(self, user_model: Any, candidates: Sequence[Doc]) -> list[RankedItem]:
         """Candidates in decreasing similarity to the user model."""
+        model = self.model
+        prepared = model.prepare_profile(user_model)
         scored = [
-            RankedItem(position=i, score=float(self.model.score(user_model, self.model.represent(doc))))
+            RankedItem(position=i, score=float(model.score(prepared, model.represent(doc))))
             for i, doc in enumerate(candidates)
         ]
         scored.sort(key=lambda item: (-item.score, item.position))

@@ -25,7 +25,12 @@ from typing import Any
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.aggregation import AggregationFunction, aggregate, normalised
 from repro.models.base import Doc, ProfileState, RepresentationModel
-from repro.models.similarity import VectorSimilarity, vector_similarity_function
+from repro.models.similarity import (
+    PreparedVector,
+    VectorSimilarity,
+    prepare_vector,
+    vector_similarity_function,
+)
 from repro.models.weighting import (
     IdfTable,
     WeightingScheme,
@@ -207,7 +212,10 @@ class BagModel(RepresentationModel):
     def init_profile(self) -> BagProfileState:
         return BagProfileState(self)
 
-    def score(self, user_model: SparseVector, doc_model: SparseVector) -> float:
+    def prepare_profile(self, user_model: SparseVector) -> PreparedVector:
+        return prepare_vector(user_model)
+
+    def score(self, user_model: SparseVector | PreparedVector, doc_model: SparseVector) -> float:
         return self._similarity_fn(user_model, doc_model)
 
     def describe(self) -> dict[str, object]:

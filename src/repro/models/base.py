@@ -12,6 +12,11 @@ Every model in the paper fits the same mould (Definition 2.1):
 4. score a candidate document against a user model
    (:meth:`RepresentationModel.score`) -- higher means more relevant.
 
+   4a. profile-side work is prepared once per rank: a ranker calls
+   :meth:`RepresentationModel.prepare_profile` once per user model and
+   passes the result to ``score`` for every candidate, so per-candidate
+   cost depends on the candidate, not on the size of the profile.
+
 Models consume :class:`Doc` objects, a minimal structural type carrying
 the normalised text and its tokens, so the same pipeline feeds
 token-based, character-based and topic models.
@@ -192,7 +197,19 @@ class RepresentationModel(abc.ABC):
 
     @abc.abstractmethod
     def score(self, user_model: Any, doc_model: Any) -> float:
-        """Similarity between a user model and a document model."""
+        """Similarity between a user model and a document model.
+
+        ``user_model`` is either a built user model or the result of
+        :meth:`prepare_profile` on one; both give the same score.
+        """
+
+    def prepare_profile(self, user_model: Any) -> Any:
+        """Precompute the profile-side terms of :meth:`score` once.
+
+        Call it once before scoring one user model against many
+        documents. The default returns ``user_model`` unchanged.
+        """
+        return user_model
 
     def init_profile(self) -> ProfileState:
         """Fresh incremental profile state for this model.

@@ -147,26 +147,35 @@ class GraphSimilarity(str, enum.Enum):
         return self.value
 
 
+def _edge_dicts(g1: NGramGraph, g2: NGramGraph) -> tuple[dict[Edge, float], dict[Edge, float]]:
+    """The (smaller, larger) graph's edge dicts; keys are canonical in both."""
+    return (g1._edges, g2._edges) if len(g1) <= len(g2) else (g2._edges, g1._edges)
+
+
 def containment_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
     """CoS: fraction of shared edges, normalised by the smaller graph."""
     if len(g1) == 0 or len(g2) == 0:
         return 0.0
-    small, large = (g1, g2) if len(g1) <= len(g2) else (g2, g1)
-    shared = sum(1 for edge, _ in small.edges() if edge in large)
-    return shared / len(small)
+    small, large = _edge_dicts(g1, g2)
+    return sum(1 for edge in small if edge in large) / len(small)
+
+
+def _value_overlap(g1: NGramGraph, g2: NGramGraph) -> float:
+    """Sum of ``min/max`` weight ratios over the edges both graphs share."""
+    small, large = _edge_dicts(g1, g2)
+    total = 0.0
+    for edge, w_small in small.items():
+        w_large = large.get(edge, 0.0)
+        if w_large > 0.0 and w_small > 0.0:
+            total += min(w_small, w_large) / max(w_small, w_large)
+    return total
 
 
 def value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
     """VS: weight-aware overlap, normalised by the larger graph."""
     if len(g1) == 0 or len(g2) == 0:
         return 0.0
-    small, large = (g1, g2) if len(g1) <= len(g2) else (g2, g1)
-    total = 0.0
-    for (a, b), w_small in small.edges():
-        w_large = large.weight(a, b)
-        if w_large > 0.0 and w_small > 0.0:
-            total += min(w_small, w_large) / max(w_small, w_large)
-    return total / max(len(g1), len(g2))
+    return _value_overlap(g1, g2) / max(len(g1), len(g2))
 
 
 def normalized_value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
@@ -177,13 +186,7 @@ def normalized_value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
     """
     if len(g1) == 0 or len(g2) == 0:
         return 0.0
-    small, large = (g1, g2) if len(g1) <= len(g2) else (g2, g1)
-    total = 0.0
-    for (a, b), w_small in small.edges():
-        w_large = large.weight(a, b)
-        if w_large > 0.0 and w_small > 0.0:
-            total += min(w_small, w_large) / max(w_small, w_large)
-    return total / min(len(g1), len(g2))
+    return _value_overlap(g1, g2) / min(len(g1), len(g2))
 
 
 _GRAPH_SIMILARITIES = {

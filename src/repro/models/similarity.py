@@ -10,21 +10,31 @@ All three operate on sparse ``dict[str, float]`` vectors and return a
 value in ``[0, 1]`` for non-negative weights. Two empty vectors are
 defined to have similarity 0, matching the "no shared evidence" reading
 used throughout the evaluation.
+
+The first argument may also be a :class:`PreparedVector`: the
+profile-side quantities every measure needs (L2 norm, support size,
+weight total) computed once, so that scoring one user profile against
+many tweets walks only the tweet. A plain dict is prepared on the fly,
+so each measure has exactly one implementation.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass
 
 from repro.errors import ValidationError
 
 __all__ = [
+    "PreparedVector",
     "VectorSimilarity",
     "cosine_similarity",
     "jaccard_similarity",
     "generalized_jaccard_similarity",
+    "prepare_vector",
     "vector_similarity_function",
 ]
 
@@ -42,48 +52,89 @@ class VectorSimilarity(str, enum.Enum):
         return self.value
 
 
-def cosine_similarity(u: SparseVector, v: SparseVector) -> float:
+def _support_size(v: SparseVector) -> int:
+    """Number of non-zero weights in ``v``."""
+    return len(v) - operator.countOf(v.values(), 0.0)
+
+
+def _norm(v: SparseVector) -> float:
+    """L2 norm of ``v``, summed in ``v``'s iteration order."""
+    return math.sqrt(sum(map(operator.mul, v.values(), v.values())))
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedVector:
+    """A sparse vector with its per-vector similarity terms precomputed.
+
+    ``total`` is an exactly rounded (``math.fsum``) weight sum, so it
+    does not depend on the vector's insertion order.
+    """
+
+    vector: SparseVector
+    norm: float
+    support: int
+    total: float
+    has_negative: bool
+
+
+def prepare_vector(u: SparseVector | PreparedVector) -> PreparedVector:
+    """Precompute ``u``'s profile-side terms; a no-op if already prepared."""
+    if isinstance(u, PreparedVector):
+        return u
+    return PreparedVector(
+        vector=u,
+        norm=_norm(u),
+        support=_support_size(u),
+        total=math.fsum(u.values()),
+        has_negative=min(u.values(), default=0.0) < 0.0,
+    )
+
+
+def cosine_similarity(u: SparseVector | PreparedVector, v: SparseVector) -> float:
     """Cosine of the angle between two sparse vectors."""
-    if not u or not v:
+    p = prepare_vector(u)
+    if not p.vector or not v:
         return 0.0
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(w * v[g] for g, w in u.items() if g in v)
+    small, large = (v, p.vector) if len(v) < len(p.vector) else (p.vector, v)
+    dot = sum(w * large[g] for g, w in small.items() if g in large)
     if dot == 0.0:
         return 0.0
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
-    if norm_u == 0.0 or norm_v == 0.0:
+    norm_v = _norm(v)
+    if p.norm == 0.0 or norm_v == 0.0:
         return 0.0
-    return dot / (norm_u * norm_v)
+    return dot / (p.norm * norm_v)
 
 
-def jaccard_similarity(u: SparseVector, v: SparseVector) -> float:
+def jaccard_similarity(u: SparseVector | PreparedVector, v: SparseVector) -> float:
     """Set Jaccard over the non-zero supports of the two vectors."""
-    support_u = {g for g, w in u.items() if w != 0.0}
-    support_v = {g for g, w in v.items() if w != 0.0}
-    if not support_u and not support_v:
+    p = prepare_vector(u)
+    vector = p.vector
+    shared = sum(1 for g, w in v.items() if w != 0.0 and vector.get(g, 0.0) != 0.0)
+    union = p.support + _support_size(v) - shared
+    if union == 0:
         return 0.0
-    union = len(support_u | support_v)
-    return len(support_u & support_v) / union
+    return shared / union
 
 
-def generalized_jaccard_similarity(u: SparseVector, v: SparseVector) -> float:
+def generalized_jaccard_similarity(
+    u: SparseVector | PreparedVector, v: SparseVector
+) -> float:
     """Weighted Jaccard: ``sum_k min(u_k, v_k) / sum_k max(u_k, v_k)``.
+
+    Computed as ``num / (total_u + total_v - num)`` with ``num`` the sum
+    of minima over the shared keys; every sum is exactly rounded, so the
+    result does not depend on dict order or the string hash seed.
 
     Defined for non-negative weights; raises ``ValueError`` on negative
     inputs, for which min/max lose their overlap semantics (the paper
     never combines GJS with signed Rocchio vectors).
     """
-    num = 0.0
-    den = 0.0
-    for g in u.keys() | v.keys():
-        wu = u.get(g, 0.0)
-        wv = v.get(g, 0.0)
-        if wu < 0.0 or wv < 0.0:
-            raise ValidationError("generalized Jaccard requires non-negative weights")
-        num += min(wu, wv)
-        den += max(wu, wv)
+    p = prepare_vector(u)
+    if p.has_negative or min(v.values(), default=0.0) < 0.0:
+        raise ValidationError("generalized Jaccard requires non-negative weights")
+    vector = p.vector
+    num = math.fsum(min(w, vector[g]) for g, w in v.items() if g in vector)
+    den = p.total + math.fsum(v.values()) - num
     if den == 0.0:
         return 0.0
     return num / den

@@ -65,6 +65,13 @@ class TestFolloweeRecommender:
         with pytest.raises(EmptyCorpusError):
             recommender.recommend(quiet[0])
 
+    def test_scores_equal_unprepared_profile_scores(self, small_dataset, recommender):
+        uid = self._profiled_user(recommender)
+        model, profiles = recommender.model, recommender._profiles
+        for suggestion in recommender.recommend(uid, k=len(profiles)):
+            raw = model.score(profiles[uid], profiles[suggestion.candidate])
+            assert suggestion.score == raw
+
     def test_impossible_threshold_raises(self, small_dataset):
         rec = FolloweeRecommender(
             small_dataset, make_model(), min_candidate_tweets=10**9
@@ -115,6 +122,19 @@ class TestHashtagRecommender:
         suggestions = recommender.recommend_for_user(uid, k=4)
         assert suggestions
         assert all(c.candidate in recommender.known_tags for c in suggestions)
+
+    def test_user_scores_equal_unprepared_profile_scores(self, small_dataset, recommender):
+        uid = max(
+            (u.user_id for u in small_dataset.users),
+            key=lambda u: len(small_dataset.outgoing(u)),
+        )
+        model = recommender.model
+        user_model = model.build_user_model(
+            recommender._factory.to_docs(small_dataset.outgoing(uid))
+        )
+        for suggestion in recommender.recommend_for_user(uid, k=len(recommender.known_tags)):
+            raw = model.score(user_model, recommender._profiles[suggestion.candidate])
+            assert suggestion.score == raw
 
     def test_user_without_tweets_raises(self, small_dataset, recommender):
         quiet = [

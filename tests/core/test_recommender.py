@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.recommender import RankingRecommender
-from repro.models.bag import TokenNGramModel
+from repro.models.bag import CharacterNGramModel, TokenNGramModel
 from repro.models.base import TextDoc
+from tests.models.test_similarity import reference_cosine, reference_jaccard
 
 
 def doc(text: str) -> TextDoc:
@@ -43,3 +46,33 @@ class TestRankingRecommender:
         rec = RankingRecommender(model).fit(tiny_corpus)
         um = rec.build_profile([doc("good stuff"), doc("bad stuff")], labels=[1, 0])
         assert um["good"] > 0 > um["bad"]
+
+
+class TestRankMatchesReference:
+    """``rank`` scores a prepared profile; the reference walks the whole profile."""
+
+    @pytest.mark.parametrize("model,reference", [
+        (TokenNGramModel(n=1, weighting="TF", similarity="CS"), reference_cosine),
+        (TokenNGramModel(n=2, weighting="BF", aggregation="sum", similarity="JS"),
+         reference_jaccard),
+        (CharacterNGramModel(n=3, weighting="TF", similarity="CS"), reference_cosine),
+        (CharacterNGramModel(n=4, weighting="BF", aggregation="sum", similarity="JS"),
+         reference_jaccard),
+    ], ids=repr)
+    def test_same_order_and_scores(self, model, reference, small_dataset):
+        from repro.core.documents import DocumentFactory
+
+        tweets = small_dataset.tweets[:400]
+        factory = DocumentFactory(20).fit(tweets)
+        docs = factory.to_docs(tweets)
+        rec = RankingRecommender(model).fit(docs)
+        profile = rec.build_profile(docs[:60])
+        candidates = docs[60:]
+        expected = sorted(
+            ((-reference(profile, model.represent(d)), i) for i, d in enumerate(candidates)),
+        )
+        ranking = rec.rank(profile, candidates)
+        assert [(item.position, item.score) for item in ranking] == [
+            (i, -neg) for neg, i in expected
+        ]
+        assert any(item.score > 0.0 for item in ranking)
