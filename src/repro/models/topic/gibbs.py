@@ -80,9 +80,15 @@ def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     total = float(weights.sum())
     if total <= 0.0 or not np.isfinite(total):
         return int(rng.integers(len(weights)))
-    # Inverse-CDF sampling on the cumulative sum: one uniform draw,
-    # one searchsorted -- the fastest pure-numpy approach for small K.
-    return int(np.searchsorted(np.cumsum(weights), rng.random() * total))
+    # Inverse-CDF sampling on the cumulative sum: one uniform draw, and
+    # the index is the count of CDF entries below it (what
+    # searchsorted(side="left") returns on a non-decreasing CDF).
+    # searchsorted itself is avoided: it drops and retakes the GIL on
+    # every call, and one release per token lets the sampling thread
+    # keep losing the GIL race to this loop, so a StackSampler or
+    # ResourceSampler watching a fit could go hundreds of ms without
+    # a sample.
+    return int(np.count_nonzero(np.cumsum(weights) < rng.random() * total))
 
 
 def sample_crp_tables(n_customers: int, concentration: float, rng: np.random.Generator) -> int:
