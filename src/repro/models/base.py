@@ -204,7 +204,8 @@ class RepresentationModel(abc.ABC):
         """
 
     def prepare_profile(self, user_model: Any) -> Any:
-        """Precompute the profile-side terms of :meth:`score` once.
+        """Wrap ``user_model`` so the profile-side terms of :meth:`score`
+        are computed at most once.
 
         Call it once before scoring one user model against many
         documents. The default returns ``user_model`` unchanged.

@@ -12,10 +12,10 @@ defined to have similarity 0, matching the "no shared evidence" reading
 used throughout the evaluation.
 
 The first argument may also be a :class:`PreparedVector`: the
-profile-side quantities every measure needs (L2 norm, support size,
-weight total) computed once, so that scoring one user profile against
-many tweets walks only the tweet. A plain dict is prepared on the fly,
-so each measure has exactly one implementation.
+profile-side quantities the measures need (L2 norm, support size,
+weight total) computed at most once, on first use, so that scoring one
+user profile against many tweets walks only the tweet. A plain dict is
+prepared on the fly, so each measure has exactly one implementation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import enum
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 
 from repro.errors import ValidationError
 
@@ -57,37 +56,72 @@ def _support_size(v: SparseVector) -> int:
     return len(v) - operator.countOf(v.values(), 0.0)
 
 
-def _norm(v: SparseVector) -> float:
+def _l2_norm(v: SparseVector) -> float:
     """L2 norm of ``v``, summed in ``v``'s iteration order."""
     return math.sqrt(sum(map(operator.mul, v.values(), v.values())))
 
 
-@dataclass(frozen=True, slots=True)
 class PreparedVector:
-    """A sparse vector with its per-vector similarity terms precomputed.
+    """A sparse vector whose per-vector similarity terms are computed on
+    first use and then kept.
 
-    ``total`` is an exactly rounded (``math.fsum``) weight sum, so it
-    does not depend on the vector's insertion order.
+    Each measure reads only the terms it needs (CS the L2 norm, JS the
+    support size, GJS the negative-weight flag and the weight total), so
+    preparing costs nothing up front and a one-off call on a plain dict
+    walks the profile no more often than its measure requires. ``total``
+    is an exactly rounded (``math.fsum``) weight sum, so it does not
+    depend on the vector's insertion order.
+
+    The terms are read-only properties.
     """
 
-    vector: SparseVector
-    norm: float
-    support: int
-    total: float
-    has_negative: bool
+    __slots__ = ("vector", "_norm", "_support", "_total", "_has_negative")
+
+    def __init__(self, vector: SparseVector) -> None:
+        self.vector = vector
+        self._norm: float | None = None
+        self._support: int | None = None
+        self._total: float | None = None
+        self._has_negative: bool | None = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.vector!r})"
+
+    @property
+    def norm(self) -> float:
+        """L2 norm, summed in the vector's iteration order."""
+        if self._norm is None:
+            self._norm = _l2_norm(self.vector)
+        return self._norm
+
+    @property
+    def support(self) -> int:
+        """Number of non-zero weights."""
+        if self._support is None:
+            self._support = _support_size(self.vector)
+        return self._support
+
+    @property
+    def total(self) -> float:
+        """Exactly rounded sum of the weights."""
+        if self._total is None:
+            self._total = math.fsum(self.vector.values())
+        return self._total
+
+    @property
+    def has_negative(self) -> bool:
+        """Whether any weight is negative."""
+        if self._has_negative is None:
+            self._has_negative = min(self.vector.values(), default=0.0) < 0.0
+        return self._has_negative
 
 
 def prepare_vector(u: SparseVector | PreparedVector) -> PreparedVector:
-    """Precompute ``u``'s profile-side terms; a no-op if already prepared."""
+    """Wrap ``u`` so its profile-side terms are computed at most once;
+    a no-op if already prepared."""
     if isinstance(u, PreparedVector):
         return u
-    return PreparedVector(
-        vector=u,
-        norm=_norm(u),
-        support=_support_size(u),
-        total=math.fsum(u.values()),
-        has_negative=min(u.values(), default=0.0) < 0.0,
-    )
+    return PreparedVector(u)
 
 
 def cosine_similarity(u: SparseVector | PreparedVector, v: SparseVector) -> float:
@@ -99,10 +133,10 @@ def cosine_similarity(u: SparseVector | PreparedVector, v: SparseVector) -> floa
     dot = sum(w * large[g] for g, w in small.items() if g in large)
     if dot == 0.0:
         return 0.0
-    norm_v = _norm(v)
-    if p.norm == 0.0 or norm_v == 0.0:
+    norm_u, norm_v = p.norm, _l2_norm(v)
+    if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
-    return dot / (p.norm * norm_v)
+    return dot / (norm_u * norm_v)
 
 
 def jaccard_similarity(u: SparseVector | PreparedVector, v: SparseVector) -> float:
@@ -110,10 +144,9 @@ def jaccard_similarity(u: SparseVector | PreparedVector, v: SparseVector) -> flo
     p = prepare_vector(u)
     vector = p.vector
     shared = sum(1 for g, w in v.items() if w != 0.0 and vector.get(g, 0.0) != 0.0)
-    union = p.support + _support_size(v) - shared
-    if union == 0:
+    if shared == 0:
         return 0.0
-    return shared / union
+    return shared / (p.support + _support_size(v) - shared)
 
 
 def generalized_jaccard_similarity(
@@ -134,10 +167,11 @@ def generalized_jaccard_similarity(
         raise ValidationError("generalized Jaccard requires non-negative weights")
     vector = p.vector
     num = math.fsum(min(w, vector[g]) for g, w in v.items() if g in vector)
-    den = p.total + math.fsum(v.values()) - num
-    if den == 0.0:
+    if num == 0.0:
         return 0.0
-    return num / den
+    # Non-negative weights make each total >= num, so the denominator
+    # is positive here.
+    return num / (p.total + math.fsum(v.values()) - num)
 
 
 _FUNCTIONS: dict[VectorSimilarity, Callable[[SparseVector, SparseVector], float]] = {

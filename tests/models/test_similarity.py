@@ -233,6 +233,16 @@ class TestPreparedMatchesReference:
             generalized_jaccard_similarity({"a": 1.0}, {"b": -1.0})
 
 
+class _ValuesCounter(dict):
+    """A dict that counts full passes over its weights."""
+
+    walks = 0
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+
 class TestPrepareVector:
     def test_precomputed_terms(self):
         p = prepare_vector({"a": 3.0, "b": 0.0, "c": 4.0})
@@ -243,7 +253,27 @@ class TestPrepareVector:
         p = prepare_vector({"a": 1.0})
         assert prepare_vector(p) is p
 
-    def test_frozen_and_slotted(self):
+    @pytest.mark.parametrize("measure", list(VectorSimilarity))
+    def test_profile_walked_once_across_candidates(self, measure):
+        # The first candidate computes the profile terms; later ones reuse them.
+        profile = _ValuesCounter({"a": 1.0, "b": 2.0, "c": 0.0})
+        p = prepare_vector(profile)
+        similarity = vector_similarity_function(measure)
+        similarity(p, {"a": 1.0})
+        walks = profile.walks
+        assert walks > 0
+        for v in ({"b": 3.0, "d": 1.0}, {"c": 1.0, "a": 2.0}, {"a": 5.0}):
+            similarity(p, v)
+        assert profile.walks == walks
+
+    @pytest.mark.parametrize("measure", list(VectorSimilarity))
+    def test_no_shared_terms_skips_the_profile_terms(self, measure):
+        profile = _ValuesCounter({"a": 1.0})
+        similarity = vector_similarity_function(measure)
+        assert similarity(profile, {"z": 1.0}) == 0.0
+        assert profile.walks == (1 if measure is VectorSimilarity.GENERALIZED_JACCARD else 0)
+
+    def test_slotted_with_read_only_terms(self):
         p = prepare_vector({"a": 1.0})
         assert not hasattr(p, "__dict__")
         with pytest.raises(AttributeError):
