@@ -4,7 +4,9 @@ Given a user model ``UM(u)`` and a set of candidate documents, the
 recommender scores every candidate with the representation model's
 similarity function and returns the candidates in decreasing score. The
 user model is prepared once per call
-(:meth:`~repro.models.base.RepresentationModel.prepare_profile`). Ties
+(:meth:`~repro.models.base.RepresentationModel.prepare_profile`) and the
+candidates are represented as one batch
+(:meth:`~repro.models.base.RepresentationModel.represent_many`). Ties
 are broken deterministically by input position, which keeps evaluation
 reproducible.
 """
@@ -56,8 +58,8 @@ class RankingRecommender:
         model = self.model
         prepared = model.prepare_profile(user_model)
         scored = [
-            RankedItem(position=i, score=float(model.score(prepared, model.represent(doc))))
-            for i, doc in enumerate(candidates)
+            RankedItem(position=i, score=float(model.score(prepared, represented)))
+            for i, represented in enumerate(model.represent_many(candidates))
         ]
         scored.sort(key=lambda item: (-item.score, item.position))
         return scored

@@ -69,6 +69,14 @@ class NotFittedError(ReproError):
     """A model was used before it was trained/fitted."""
 
 
+class SamplingWeightsError(ReproError):
+    """A sampler's weights are not finite and non-negative.
+
+    Raised by the topic models' Gibbs fold-in (naming the model) instead
+    of drawing from a distribution that does not exist.
+    """
+
+
 class EmptyCorpusError(ReproError):
     """An operation that requires at least one document got none."""
 

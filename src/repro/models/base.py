@@ -6,7 +6,8 @@ Every model in the paper fits the same mould (Definition 2.1):
    (:meth:`RepresentationModel.fit` -- e.g. IDF tables, topic
    distributions);
 2. map a single document to a structured representation
-   (:meth:`RepresentationModel.represent`);
+   (:meth:`RepresentationModel.represent`; a batch of documents with
+   :meth:`RepresentationModel.represent_many`);
 3. assemble the representations of a user's training documents into a
    single *user model* (:meth:`RepresentationModel.build_user_model`);
 4. score a candidate document against a user model
@@ -34,7 +35,7 @@ by construction, not by test alone.
 from __future__ import annotations
 
 import abc
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -132,19 +133,27 @@ class ProfileState(abc.ABC):
                     f"keys length {len(keys)} does not match docs length {len(docs)}"
                 )
             order = sorted(range(len(docs)), key=lambda i: keys[i])
+        entries: list[tuple[Any, Doc, int | None]] = []
+        last_key = self._last_key
         for position, index in enumerate(order):
             key = keys[index] if keys is not None else self._seen + position
-            if self._last_key is not None and key < self._last_key:
+            if last_key is not None and key < last_key:
                 raise ValidationError(
                     "profile updates must fold in non-decreasing "
                     f"(timestamp, tweet_id) order: key {key!r} arrived after "
-                    f"{self._last_key!r}"
+                    f"{last_key!r}"
                 )
-            self._last_key = key
-            label = labels[index] if labels is not None else None
-            self._fold(key, docs[index], label)
+            last_key = key
+            entries.append((key, docs[index], labels[index] if labels is not None else None))
+        self._last_key = last_key
+        self._fold_many(entries)
         self._seen += len(docs)
         return self
+
+    def _fold_many(self, entries: list[tuple[Any, Doc, int | None]]) -> None:
+        """Fold an order-checked chunk of ``(key, doc, label)`` in order."""
+        for key, doc, label in entries:
+            self._fold(key, doc, label)
 
     @abc.abstractmethod
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
@@ -181,6 +190,17 @@ class RepresentationModel(abc.ABC):
     @abc.abstractmethod
     def represent(self, doc: Doc) -> Any:
         """Map one document to this model's representation space."""
+
+    def represent_many(self, docs: Sequence[Doc]) -> Iterable[Any]:
+        """:meth:`represent` of each document, in order.
+
+        Models that can represent a batch faster than one document at a
+        time override it; the results are the same either way. This
+        default represents each document only when the caller asks for
+        it, so a caller that scores each result before taking the next
+        holds one representation at a time (large n-gram graphs).
+        """
+        return (self.represent(doc) for doc in docs)
 
     @abc.abstractmethod
     def build_user_model(

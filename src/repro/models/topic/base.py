@@ -12,8 +12,10 @@ All topic models in the paper follow the same usage protocol (Section 3.2,
 5. candidate tweets are ranked by cosine similarity to the user model.
 
 Subclasses implement two hooks: :meth:`TopicModel._train` (fit the model
-on encoded pseudo-documents) and :meth:`TopicModel._infer` (fold in one
-encoded document and return its topic distribution).
+on encoded pseudo-documents) and :meth:`TopicModel._infer` (one encoded
+document's topic distribution, or the Gibbs fold-in that yields it;
+:meth:`TopicModel.represent_many` samples all of a batch's fold-ins in
+one :func:`~repro.models.topic.gibbs.fold_in` call).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError, EmptyCorpusError, NotFittedError, ValidationError
 from repro.models.aggregation import AggregationFunction
 from repro.models.base import Doc, ProfileState, RepresentationModel
-from repro.models.topic.gibbs import IterationHook
+from repro.models.topic.gibbs import FoldIn, IterationHook, fold_in
 from repro.text.pooling import PoolingScheme, pool_documents
 from repro.text.vocabulary import Vocabulary
 
@@ -134,8 +136,9 @@ def dense_rocchio(
 class TopicProfileState(ProfileState):
     """Incremental topic-mixture profile for the topic family.
 
-    Each fold infers the document's topic distribution ``theta`` once
-    and retains it -- updating a profile never re-runs Gibbs over
+    Each update infers its documents' topic distributions ``theta`` once,
+    as one :meth:`TopicModel.represent_many` batch in key order, and
+    retains them -- updating a profile never re-runs Gibbs over
     history. :meth:`value` aggregates the retained mixtures exactly as
     the batch build does, so parity is by construction; with stochastic
     fold-in (``deterministic_inference`` off) the *representations*
@@ -150,7 +153,13 @@ class TopicProfileState(ProfileState):
         self._entries: list[tuple[Any, np.ndarray, int | None]] = []
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
-        self._entries.append((key, self._model.represent(doc), label))
+        self._fold_many([(key, doc, label)])
+
+    def _fold_many(self, entries: list[tuple[Any, Doc, int | None]]) -> None:
+        thetas = self._model.represent_many([doc for _, doc, _ in entries])
+        self._entries.extend(
+            (key, theta, label) for (key, _, label), theta in zip(entries, thetas)
+        )
 
     def _labels(self) -> list[int]:
         if any(label is None for _, _, label in self._entries):
@@ -268,8 +277,18 @@ class TopicModel(RepresentationModel):
         """
 
     @abc.abstractmethod
-    def _infer(self, doc: list[int]) -> np.ndarray:
-        """Topic distribution of one encoded (unseen) document."""
+    def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
+        """Topic distribution of one encoded (unseen) document.
+
+        Gibbs-sampled models return the document's :class:`FoldIn`
+        instead; :meth:`represent_many` samples it and turns the topic
+        counts into ``theta`` with :meth:`_theta`.
+        """
+
+    def _theta(self, fold: FoldIn, counts: np.ndarray) -> np.ndarray:
+        """Topic distribution from a sampled fold-in's topic counts."""
+        theta = counts + fold.prior
+        return theta / theta.sum()
 
     @property
     @abc.abstractmethod
@@ -303,17 +322,31 @@ class TopicModel(RepresentationModel):
         return int.from_bytes(digest[:8], "big")
 
     def represent(self, doc: Doc) -> np.ndarray:
-        if self._vocabulary is None:
-            raise NotFittedError(f"{type(self).__name__}.fit was never called")
-        encoded = self._vocabulary.encode(list(doc.tokens))
-        if not self.deterministic_inference:
-            return self._infer(encoded)
-        shared_rng = self._rng
-        self._rng = np.random.default_rng(self._doc_rng_seed(encoded))
-        try:
-            return self._infer(encoded)
-        finally:
-            self._rng = shared_rng
+        return self.represent_many([doc])[0]
+
+    def represent_many(self, docs: Sequence[Doc]) -> list[np.ndarray]:
+        """Topic distributions of ``docs``, every fold-in sampled as one batch.
+
+        Equal to representing the documents one by one, in order: each
+        fold-in draws from the model's RNG in document order, or from
+        its own seeded RNG under ``deterministic_inference``.
+        """
+        encoded = [self.vocabulary.encode(list(doc.tokens)) for doc in docs]
+        inferred = [self._infer(tokens) for tokens in encoded]
+        folds = [fold for fold in inferred if isinstance(fold, FoldIn)]
+        if self.deterministic_inference:
+            rngs = [
+                np.random.default_rng(self._doc_rng_seed(tokens))
+                for tokens, fold in zip(encoded, inferred)
+                if isinstance(fold, FoldIn)
+            ]
+        else:
+            rngs = [self._rng] * len(folds)
+        counts = iter(fold_in(folds, rngs, self.infer_iterations, self.name))
+        return [
+            self._theta(fold, next(counts)) if isinstance(fold, FoldIn) else fold
+            for fold in inferred
+        ]
 
     def build_user_model(
         self,

@@ -5,6 +5,10 @@ primitives: drawing from an unnormalised discrete distribution, and
 sampling the number of occupied tables in a Chinese Restaurant Process
 (used by HDP's table-count resampling).
 
+Folding unseen documents into a fitted model is the third shared piece:
+:func:`fold_in` runs the fold-in sampler of LDA, LLDA, HDP and HLDA for
+a whole batch of documents at once (see its docstring).
+
 The module also defines the samplers' per-iteration progress protocol:
 a training loop calls :func:`notify_iteration` once per sweep, and any
 installed :data:`IterationHook` receives a :class:`GibbsIteration`
@@ -15,20 +19,28 @@ models knowing anything about tracing.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import SamplingWeightsError
 from repro.obs.resources import read_rss_bytes
 
 __all__ = [
+    "FoldIn",
     "GibbsIteration",
     "IterationHook",
+    "fold_in",
     "notify_iteration",
     "sample_index",
     "sample_crp_tables",
 ]
+
+#: Below this many documents, :func:`fold_in` samples each document on
+#: its own: the batched step's fixed cost outweighs the steps it saves.
+MIN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,164 @@ def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     # ResourceSampler watching a fit could go hundreds of ms without
     # a sample.
     return int(np.count_nonzero(np.cumsum(weights) < rng.random() * total))
+
+
+@dataclass(frozen=True)
+class FoldIn:
+    """One document's Gibbs fold-in against frozen topic-word weights.
+
+    Row ``i`` of ``columns`` (tokens x topics) holds every topic's
+    weight for the document's ``i``-th token -- ``φ[:, w_i]`` for LDA.
+    ``prior`` is added to the document's topic counts: a scalar ``α`` or
+    one value per topic.
+    """
+
+    columns: np.ndarray
+    prior: float | np.ndarray
+
+
+def fold_in(
+    folds: Sequence[FoldIn],
+    rngs: Sequence[np.random.Generator],
+    iterations: int,
+    model: str,
+) -> list[np.ndarray]:
+    """Topic counts of each document after ``iterations`` fold-in sweeps.
+
+    Each sweep resamples every token ``i`` in order from
+    ``(n_k + prior) * columns[i]``, where ``n_k`` are the document's
+    topic counts without that token: collapsed Gibbs with the
+    topic-word weights frozen. Document ``d`` draws from ``rngs[d]`` (the
+    same generator may repeat), up front and in document order:
+    ``integers(K, n)`` for the initial topics, then
+    ``random(iterations * n)``, one uniform per token and sweep. That is
+    the stream a sampler drawing each uniform as it goes would use, so
+    the counts do not depend on how documents are batched.
+
+    With the weights frozen, documents are independent, so from
+    :data:`MIN_BATCH` documents on, token position ``i`` of every
+    document still that long is sampled in one numpy step; the weight,
+    sum, cumulative-sum and compare arithmetic is the same as for a lone
+    document, so both paths give identical counts. A zero-weight row
+    draws uniformly with its token's uniform; weights that are not
+    finite and non-negative raise :class:`SamplingWeightsError`
+    naming ``model``.
+    """
+    draws = []
+    for fold, rng in zip(folds, rngs):
+        tokens, k = fold.columns.shape
+        draws.append((rng.integers(k, size=tokens), rng.random(iterations * tokens)))
+    if len(folds) < MIN_BATCH:
+        return [
+            _fold_one(fold, topics, uniforms, iterations, model)
+            for fold, (topics, uniforms) in zip(folds, draws)
+        ]
+    return _fold_batch(folds, draws, iterations, model)
+
+
+def _check_weights(
+    columns: np.ndarray, prior: float | np.ndarray, tokens: int, model: str
+) -> None:
+    """Raise unless every fold-in weight and row total is finite and >= 0.
+
+    A weight is ``(count + prior) * column`` with ``count <= tokens``, so
+    non-negative inputs with a finite bound on the row total cannot
+    produce a non-finite row.
+    """
+    if columns.size == 0:
+        return
+    bound = columns.shape[-1] * (tokens + np.max(prior)) * columns.max()
+    if not (columns.min() >= 0.0 and np.min(prior) >= 0.0 and bound < math.inf):
+        raise SamplingWeightsError(
+            f"{model} fold-in weights must be finite and non-negative"
+        )
+
+
+def _fold_one(
+    fold: FoldIn, topics: np.ndarray, uniforms: np.ndarray, iterations: int, model: str
+) -> np.ndarray:
+    """:func:`fold_in` for one document, one token at a time."""
+    columns = fold.columns
+    k = columns.shape[1]
+    _check_weights(columns, fold.prior, len(topics), model)
+    prior = np.zeros(k) + fold.prior
+    counts = np.bincount(topics, minlength=k).astype(float)
+    rows = list(columns)
+    assigned = topics.tolist()
+    draws = iter(uniforms.tolist())
+    last = k - 1
+    for _ in range(iterations):
+        for i, row in enumerate(rows):
+            topic = assigned[i]
+            counts[topic] -= 1
+            weights = (counts + prior) * row
+            total = float(np.add.reduce(weights))
+            uniform = next(draws)
+            if total > 0.0:
+                # Inverse CDF, as in sample_index; leaving the last CDF
+                # entry out keeps a rounding overshoot on the last topic.
+                cdf = np.add.accumulate(weights[:last])
+                topic = int(np.count_nonzero(cdf < uniform * total))
+            else:
+                topic = min(int(uniform * k), last)
+            assigned[i] = topic
+            counts[topic] += 1
+    return counts
+
+
+def _fold_batch(
+    folds: Sequence[FoldIn],
+    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+    iterations: int,
+    model: str,
+) -> list[np.ndarray]:
+    """:func:`fold_in` for a batch, one token position at a time."""
+    # Longest document first: the documents still sampling at token
+    # position t are then always the first active[t] rows.
+    order = sorted(range(len(folds)), key=lambda d: -len(draws[d][0]))
+    lengths = np.array([len(draws[d][0]) for d in order])
+    batch, longest, k = len(order), int(lengths[0]), folds[0].columns.shape[1]
+    columns = np.zeros((longest, batch, k))
+    priors = np.empty((batch, k))
+    counts = np.zeros((batch, k))
+    uniforms = np.zeros((iterations, longest, batch, 1))
+    # Each token's topic, stored as its flat index into counts.
+    offsets = np.arange(batch) * k
+    cells = np.zeros((longest, batch), dtype=np.intp)
+    for slot, d in enumerate(order):
+        n = lengths[slot]
+        topics, drawn = draws[d]
+        columns[:n, slot] = folds[d].columns
+        priors[slot] = folds[d].prior
+        counts[slot] = np.bincount(topics, minlength=k)
+        uniforms[:, :n, slot, 0] = drawn.reshape(iterations, n)
+        cells[:n, slot] = topics + offsets[slot]
+    _check_weights(columns, priors, longest, model)
+    flat = counts.reshape(-1)
+    # The CDF's last column stays +inf, so the first entry not below the
+    # uniform (argmin of the comparison) never passes the last topic.
+    cdf = np.empty((batch, k))
+    cdf[:, -1] = np.inf
+    active = (lengths > np.arange(longest)[:, None]).sum(axis=1).tolist()
+    steps = [
+        (t, a, offsets[:a], counts[:a], priors[:a], columns[t, :a], cdf[:a])
+        for t, a in enumerate(active)
+    ]
+    for sweep in uniforms:
+        for t, a, offset, count, prior, column, cdf_a in steps:
+            flat[cells[t, :a]] -= 1
+            weights = (count + prior) * column
+            total = np.add.reduce(weights, 1, keepdims=True)
+            np.add.accumulate(weights[:, :-1], 1, out=cdf_a[:, :-1])
+            topic = (cdf_a < sweep[t, :a] * total).argmin(1)
+            if np.count_nonzero(total) < a:
+                zero = total[:, 0] == 0.0
+                uniform = sweep[t, :a, 0][zero]
+                topic[zero] = np.minimum((uniform * k).astype(np.intp), k - 1)
+            topic += offset
+            cells[t, :a] = topic
+            flat[topic] += 1
+    return [counts[slot] for slot in np.argsort(order)]
 
 
 def sample_crp_tables(n_customers: int, concentration: float, rng: np.random.Generator) -> int:

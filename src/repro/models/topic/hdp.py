@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_crp_tables, sample_index
+from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_crp_tables, sample_index
 
 __all__ = ["HdpModel"]
 
@@ -179,30 +179,12 @@ class HdpModel(TopicModel):
         weights = beta[:-1]
         self._beta_weights = weights / weights.sum()
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
+    def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
         if self._phi is None or self._beta_weights is None:
             raise NotFittedError("HdpModel.fit was never called")
         if not doc:
             return self._uniform_theta()
-        k = self._phi.shape[0]
-        rng = self._rng
-        phi = self._phi
-        prior = self.alpha * self._beta_weights
-
-        n_dk = np.zeros(k)
-        z = rng.integers(k, size=len(doc))
-        for topic in z:
-            n_dk[topic] += 1
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                topic = z[i]
-                n_dk[topic] -= 1
-                weights = (n_dk + prior) * phi[:, w]
-                topic = sample_index(weights, rng)
-                z[i] = topic
-                n_dk[topic] += 1
-        theta = n_dk + prior
-        return theta / theta.sum()
+        return FoldIn(self._phi[:, doc].T, self.alpha * self._beta_weights)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

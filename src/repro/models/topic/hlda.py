@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_index
+from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_index
 
 __all__ = ["HldaModel"]
 
@@ -65,6 +65,13 @@ class _Node:
             self.total_count -= c
         if self.total_count < 0:
             self.total_count = 0.0
+
+
+@dataclass(frozen=True)
+class _PathFoldIn(FoldIn):
+    """A document's fold-in over the levels of its chosen tree path."""
+
+    path: list[int]
 
 
 class HldaModel(TopicModel):
@@ -348,12 +355,11 @@ class HldaModel(TopicModel):
 
     # -- inference --------------------------------------------------------------
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
+    def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
         if self._node_phi is None:
             raise NotFittedError("HldaModel.fit was never called")
         if not doc or not self._paths_matrix:
             return self._uniform_theta()
-        rng = self._rng
         phi = self._node_phi
 
         # Pick the path with the highest likelihood under a uniform level mix,
@@ -368,24 +374,13 @@ class HldaModel(TopicModel):
                 best_score = score
                 best_path = path
         assert best_path is not None
+        return _PathFoldIn(phi[best_path][:, doc].T, self.alpha, best_path)
 
-        n_dl = np.zeros(self.levels)
-        z = rng.integers(self.levels, size=len(doc))
-        for level in z:
-            n_dl[level] += 1
-        path_phi = phi[best_path]  # L x V
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                level = z[i]
-                n_dl[level] -= 1
-                weights = (n_dl + self.alpha) * path_phi[:, w]
-                level = sample_index(weights, rng)
-                z[i] = level
-                n_dl[level] += 1
-
+    def _theta(self, fold: FoldIn, counts: np.ndarray) -> np.ndarray:
+        assert isinstance(fold, _PathFoldIn)
         theta = np.zeros(self._n_nodes)
-        level_mix = (n_dl + self.alpha) / (n_dl.sum() + self.levels * self.alpha)
-        for level, node_id in enumerate(best_path):
+        level_mix = (counts + self.alpha) / (counts.sum() + self.levels * self.alpha)
+        for level, node_id in enumerate(fold.path):
             theta[node_id] += level_mix[level]
         return theta
 

@@ -11,7 +11,7 @@ where counts exclude token ``i``. Hyperparameter defaults follow the
 paper's tuning (Steyvers & Griffiths 2007): ``α = 50 / K``, ``β = 0.01``.
 
 Unseen documents are folded in by running the same sampler with the
-topic-word counts frozen.
+topic-word counts frozen (:func:`~repro.models.topic.gibbs.fold_in`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_index
+from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_index
 
 __all__ = ["LdaModel"]
 
@@ -138,31 +138,12 @@ class LdaModel(TopicModel):
 
     # -- inference ------------------------------------------------------------
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
+    def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
         if self._phi is None:
             raise NotFittedError("LdaModel.fit was never called")
         if not doc:
             return self._uniform_theta()
-        k = self._n_topics
-        rng = self._rng
-        phi = self._phi
-
-        n_dk = np.zeros(k)
-        z = rng.integers(k, size=len(doc))
-        for topic in z:
-            n_dk[topic] += 1
-
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                topic = z[i]
-                n_dk[topic] -= 1
-                weights = (n_dk + self.alpha) * phi[:, w]
-                topic = sample_index(weights, rng)
-                z[i] = topic
-                n_dk[topic] += 1
-
-        theta = n_dk + self.alpha
-        return theta / theta.sum()
+        return FoldIn(self._phi[:, doc].T, self.alpha)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_index
+from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_index
 from repro.models.topic.labels import LabelExtractor
 
 __all__ = ["LabeledLdaModel"]
@@ -144,29 +144,12 @@ class LabeledLdaModel(TopicModel):
 
         self._phi = (n_kw + self.beta) / (n_k[:, None] + v_beta)
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
+    def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
         if self._phi is None:
             raise NotFittedError("LabeledLdaModel.fit was never called")
         if not doc:
             return self._uniform_theta()
-        k = self.n_topics
-        rng = self._rng
-        phi = self._phi
-
-        n_dk = np.zeros(k)
-        z = rng.integers(k, size=len(doc))
-        for topic in z:
-            n_dk[topic] += 1
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                topic = z[i]
-                n_dk[topic] -= 1
-                weights = (n_dk + self.alpha) * phi[:, w]
-                topic = sample_index(weights, rng)
-                z[i] = topic
-                n_dk[topic] += 1
-        theta = n_dk + self.alpha
-        return theta / theta.sum()
+        return FoldIn(self._phi[:, doc].T, self.alpha)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

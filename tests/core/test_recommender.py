@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.recommender import RankingRecommender
 from repro.models.bag import CharacterNGramModel, TokenNGramModel
 from repro.models.base import TextDoc
+from repro.models.topic import (
+    BitermTopicModel,
+    HdpModel,
+    HldaModel,
+    LabeledLdaModel,
+    LdaModel,
+)
+from repro.models.topic.base import dense_cosine
 from tests.models.test_similarity import reference_cosine, reference_jaccard
 
 
@@ -48,8 +58,13 @@ class TestRankingRecommender:
         assert um["good"] > 0 > um["bad"]
 
 
+TOPIC = dict(pooling="NP", iterations=8, infer_iterations=5, seed=1)
+
+
 class TestRankMatchesReference:
-    """``rank`` scores a prepared profile; the reference walks the whole profile."""
+    """``rank`` scores a prepared profile and represents the candidates as
+    one batch; the reference walks the whole profile and represents each
+    candidate on its own, from the same RNG state."""
 
     @pytest.mark.parametrize("model,reference", [
         (TokenNGramModel(n=1, weighting="TF", similarity="CS"), reference_cosine),
@@ -58,6 +73,11 @@ class TestRankMatchesReference:
         (CharacterNGramModel(n=3, weighting="TF", similarity="CS"), reference_cosine),
         (CharacterNGramModel(n=4, weighting="BF", aggregation="sum", similarity="JS"),
          reference_jaccard),
+        (LdaModel(n_topics=8, **TOPIC), dense_cosine),
+        (LabeledLdaModel(n_latent_topics=6, **TOPIC), dense_cosine),
+        (HdpModel(**TOPIC), dense_cosine),
+        (HldaModel(**TOPIC), dense_cosine),
+        (BitermTopicModel(n_topics=8, **TOPIC), dense_cosine),
     ], ids=repr)
     def test_same_order_and_scores(self, model, reference, small_dataset):
         from repro.core.documents import DocumentFactory
@@ -68,8 +88,9 @@ class TestRankMatchesReference:
         rec = RankingRecommender(model).fit(docs)
         profile = rec.build_profile(docs[:60])
         candidates = docs[60:]
+        twin = copy.deepcopy(model)  # same fit and RNG position
         expected = sorted(
-            ((-reference(profile, model.represent(d)), i) for i, d in enumerate(candidates)),
+            ((-reference(profile, twin.represent(d)), i) for i, d in enumerate(candidates)),
         )
         ranking = rec.rank(profile, candidates)
         assert [(item.position, item.score) for item in ranking] == [

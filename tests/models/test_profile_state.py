@@ -19,6 +19,9 @@ from repro.errors import ConfigurationError, ValidationError
 from repro.models import (
     CharacterNGramGraphModel,
     CharacterNGramModel,
+    HdpModel,
+    HldaModel,
+    LabeledLdaModel,
     LdaModel,
     TokenNGramGraphModel,
     TokenNGramModel,
@@ -125,6 +128,40 @@ class TestChunkingParity:
                 start = stop
             state.update(DOCS[start:], keys=KEYS[start:])
             assert delta(batch, state.value()) == 0.0
+
+
+WORDS = " ".join(CORPUS).split()
+#: 24 documents of 1 to 9 tokens, cut from the corpus.
+STREAM = [doc(" ".join(WORDS[3 * i: 3 * i + 1 + i % 9])) for i in range(24)]
+
+
+class TestTopicChunkingParity:
+    """A topic update folds its chunk in as one batch; N single-document
+    updates must give the same profile, and under the shared RNG leave it
+    in the same state."""
+
+    STREAM_KEYS = [(tick, 200 + tick) for tick in range(len(STREAM))]
+    SMALL = dict(pooling="NP", iterations=10, infer_iterations=5, seed=3)
+
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["shared-rng", "per-doc-rng"])
+    @pytest.mark.parametrize("build", [
+        lambda small: LdaModel(n_topics=5, **small),
+        lambda small: LabeledLdaModel(n_latent_topics=3, **small),
+        lambda small: HdpModel(initial_topics=4, **small),
+        lambda small: HldaModel(levels=3, **small),
+    ], ids=["LDA", "LLDA", "HDP", "HLDA"])
+    def test_one_update_equals_single_document_updates(self, build, deterministic):
+        model = build(self.SMALL).fit(DOCS)
+        model.deterministic_inference = deterministic
+        start = model._rng.bit_generator.state
+        batch = model.init_profile().update(STREAM, keys=self.STREAM_KEYS)
+        after_batch = model._rng.bit_generator.state
+        model._rng.bit_generator.state = start
+        state = model.init_profile()
+        for d, key in zip(STREAM, self.STREAM_KEYS):
+            state.update([d], keys=[key])
+        assert np.array_equal(batch.value(), state.value())
+        assert model._rng.bit_generator.state == after_batch
 
 
 class TestFoldOrder:

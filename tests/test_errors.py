@@ -11,6 +11,7 @@ from repro.errors import (
     NotFittedError,
     PersistenceError,
     ReproError,
+    SamplingWeightsError,
     ValidationError,
 )
 
@@ -20,6 +21,7 @@ ALL_ERRORS = [
     EmptyCorpusError,
     NotFittedError,
     PersistenceError,
+    SamplingWeightsError,
     ValidationError,
 ]
 

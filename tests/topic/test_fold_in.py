@@ -1,0 +1,254 @@
+"""Tests for the batched Gibbs fold-in (``gibbs.fold_in``).
+
+The reference below is the per-token fold-in loop each of LDA, LLDA,
+HDP and HLDA ran inside ``_infer`` before the batched kernel replaced
+it. ``represent_many`` must return exactly what that loop returned for
+each document in turn and leave the model's RNG in the same state, for
+any batch: both sides of the kernel's size switch, mixed lengths, and
+empty or all-out-of-vocabulary documents, which draw nothing.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SamplingWeightsError
+from repro.models.base import TextDoc
+from repro.models.topic.gibbs import MIN_BATCH, FoldIn, fold_in, sample_index
+from repro.models.topic.hdp import HdpModel
+from repro.models.topic.hlda import HldaModel
+from repro.models.topic.lda import LdaModel
+from repro.models.topic.llda import LabeledLdaModel
+
+CORPUS = [
+    "star planet orbit star moon #space",
+    "orbit moon star planet comet",
+    "planet star orbit moon telescope ?",
+    "bread flour oven bread yeast #baking",
+    "yeast oven bread flour crust",
+    "flour bread yeast oven butter :)",
+    "market stock price trade bank",
+    "bank trade market price stock #money",
+    "rain cloud wind storm cloud",
+    "storm wind rain thunder cloud ?",
+] * 3
+
+VOCABULARY = sorted({token for text in CORPUS for token in text.split()})
+UNKNOWN = ["zebra", "quartz", "vellum"]
+
+
+def doc(tokens) -> TextDoc:
+    return TextDoc.from_tokens(tuple(tokens))
+
+
+@functools.cache
+def fitted(name: str):
+    common = dict(iterations=10, infer_iterations=5, seed=2, pooling="NP")
+    model = {
+        "LDA": lambda: LdaModel(n_topics=9, **common),
+        "LLDA": lambda: LabeledLdaModel(n_latent_topics=4, **common),
+        "HDP": lambda: HdpModel(initial_topics=6, **common),
+        "HLDA": lambda: HldaModel(levels=3, gamma=1.0, **common),
+    }[name]()
+    return model.fit([doc(text.split()) for text in CORPUS])
+
+
+# -- the reference: the per-token loop the kernel replaced -------------------
+
+
+def reference_fold(phi_columns: np.ndarray, prior, rng, iterations: int) -> np.ndarray:
+    """Topic counts after the sequential fold-in; ``phi_columns`` is K x n."""
+    k = phi_columns.shape[0]
+    n_dk = np.zeros(k)
+    z = rng.integers(k, size=phi_columns.shape[1])
+    for topic in z:
+        n_dk[topic] += 1
+    for _ in range(iterations):
+        for i in range(phi_columns.shape[1]):
+            topic = z[i]
+            n_dk[topic] -= 1
+            weights = (n_dk + prior) * phi_columns[:, i]
+            topic = sample_index(weights, rng)
+            z[i] = topic
+            n_dk[topic] += 1
+    return n_dk
+
+
+def reference_infer(model, encoded: list[int], rng) -> np.ndarray:
+    iterations = model.infer_iterations
+    if isinstance(model, HldaModel):
+        if not encoded or not model._paths_matrix:
+            return model._uniform_theta()
+        phi = model._node_phi
+        best_path, best_score = None, -np.inf
+        for path in model._paths_matrix:
+            score = float(np.log(phi[path][:, np.array(encoded)].mean(axis=0) + 1e-12).sum())
+            if score > best_score:
+                best_score, best_path = score, path
+        n_dl = reference_fold(phi[best_path][:, encoded], model.alpha, rng, iterations)
+        theta = np.zeros(model._n_nodes)
+        level_mix = (n_dl + model.alpha) / (n_dl.sum() + model.levels * model.alpha)
+        for level, node_id in enumerate(best_path):
+            theta[node_id] += level_mix[level]
+        return theta
+    if not encoded:
+        return model._uniform_theta()
+    prior = model.alpha * model.stick_weights if isinstance(model, HdpModel) else model.alpha
+    theta = reference_fold(model.phi[:, encoded], prior, rng, iterations) + prior
+    return theta / theta.sum()
+
+
+def reference_represent(model, document) -> np.ndarray:
+    encoded = model.vocabulary.encode(list(document.tokens))
+    rng = model._rng
+    if model.deterministic_inference:
+        rng = np.random.default_rng(model._doc_rng_seed(encoded))
+    return reference_infer(model, encoded, rng)
+
+
+# -- parity ---------------------------------------------------------------------
+
+documents = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=14),
+        st.lists(st.sampled_from(VOCABULARY + UNKNOWN), max_size=6),
+        st.lists(st.sampled_from(UNKNOWN), max_size=3),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["shared-rng", "per-doc-rng"])
+@pytest.mark.parametrize("name", ["LDA", "LLDA", "HDP", "HLDA"])
+class TestRepresentManyMatchesReference:
+    @settings(max_examples=20, deadline=None)
+    @given(batch=documents, seed=st.integers(0, 2**32 - 1))
+    def test_equal_results_and_rng_state(self, name, deterministic, batch, seed):
+        model = fitted(name)
+        model.deterministic_inference = deterministic
+        try:
+            docs = [doc(tokens) for tokens in batch]
+            model._rng = np.random.default_rng(seed)
+            got = model.represent_many(docs)
+            state = model._rng.bit_generator.state
+            model._rng = np.random.default_rng(seed)
+            expected = [reference_represent(model, d) for d in docs]
+            assert len(got) == len(expected)
+            for theta, want in zip(got, expected):
+                assert np.array_equal(theta, want)
+            assert model._rng.bit_generator.state == state
+        finally:
+            model.deterministic_inference = False
+
+    def test_represent_is_a_batch_of_one(self, name, deterministic):
+        model = fitted(name)
+        model.deterministic_inference = deterministic
+        try:
+            d = doc(CORPUS[0].split())
+            model._rng = np.random.default_rng(5)
+            got = model.represent(d)
+            model._rng = np.random.default_rng(5)
+            assert np.array_equal(got, reference_represent(model, d))
+        finally:
+            model.deterministic_inference = False
+
+
+# -- the kernel on its own --------------------------------------------------------
+
+
+def folds_with_rows(rows: np.ndarray, prior, count: int) -> list[FoldIn]:
+    return [FoldIn(rows, prior) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [1, MIN_BATCH], ids=["alone", "batched"])
+class TestDegenerateWeights:
+    def test_zero_row_draws_uniformly_from_its_own_uniform(self, count):
+        # Every token's weights are zero and so is the prior, so each row
+        # is all-zero whatever the counts: in the last sweep token i
+        # takes topic floor(u * K) of its own pre-drawn uniform u.
+        k, tokens, iterations = 5, 3, 4
+        folds = folds_with_rows(np.zeros((tokens, k)), 0.0, count)
+        counts = fold_in(folds, [np.random.default_rng(11)] * count, iterations, "LDA")
+        rng = np.random.default_rng(11)
+        for n_dk in counts:
+            rng.integers(k, size=tokens)
+            last_sweep = rng.random(iterations * tokens).reshape(iterations, tokens)[-1]
+            expected = np.bincount((last_sweep * k).astype(int), minlength=k)
+            assert np.array_equal(n_dk, expected)
+
+    def test_zero_row_same_alone_and_batched(self, count):
+        rows = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        rngs = [np.random.default_rng(4)] * count
+        batched = fold_in(folds_with_rows(rows, 0.0, count), rngs, 6, "LDA")
+        rng = np.random.default_rng(4)
+        alone = [fold_in([FoldIn(rows, 0.0)], [rng], 6, "LDA")[0] for _ in range(count)]
+        for a, b in zip(batched, alone):
+            assert np.array_equal(a, b)
+
+    def test_nan_weight_raises_naming_the_model(self, count):
+        rows = np.array([[0.3, 0.7], [np.nan, 0.5]])
+        rngs = [np.random.default_rng(0)] * count
+        with pytest.raises(SamplingWeightsError, match="HDP"):
+            fold_in(folds_with_rows(rows, 1.0, count), rngs, 2, "HDP")
+
+    def test_negative_prior_raises(self, count):
+        rows = np.array([[0.3, 0.7]])
+        with pytest.raises(SamplingWeightsError):
+            fold_in(folds_with_rows(rows, np.array([0.5, -0.1]), count),
+                    [np.random.default_rng(0)] * count, 2, "HDP")
+
+
+class TestDegenerateModels:
+    def test_nan_phi_entry_raises(self):
+        model = LdaModel(n_topics=3, iterations=5, infer_iterations=3, seed=0, pooling="NP")
+        model.fit([doc(text.split()) for text in CORPUS[:6]])
+        model._phi = model.phi.copy()
+        model._phi[1, model.vocabulary.encode(["star"])[0]] = np.nan
+        with pytest.raises(SamplingWeightsError, match="LDA"):
+            model.represent(doc(["star", "moon"]))
+        with pytest.raises(SamplingWeightsError, match="LDA"):
+            model.represent_many([doc(["moon"])] * MIN_BATCH + [doc(["star"])])
+
+    def test_zero_phi_column_with_zero_prior(self):
+        model = LdaModel(n_topics=3, alpha=0.0, iterations=5, infer_iterations=3, seed=0,
+                         pooling="NP")
+        model.fit([doc(text.split()) for text in CORPUS[:6]])
+        model._phi = model.phi.copy()
+        model._phi[:, model.vocabulary.encode(["star"])[0]] = 0.0
+        docs = [doc(["star", "star"]), doc(["star"]), doc(["moon", "star"])] * 2
+        model._rng = np.random.default_rng(8)
+        batched = model.represent_many(docs)
+        model._rng = np.random.default_rng(8)
+        alone = [model.represent(d) for d in docs]
+        for a, b in zip(batched, alone):
+            assert np.array_equal(a, b)
+            assert np.isclose(a.sum(), 1.0)
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 64),
+        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=24),
+        prior=st.floats(0.01, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=1, lengths=[4] * (MIN_BATCH + 1), prior=1.0, seed=0)
+    @example(k=7, lengths=[0, 5, 1, 12, 0, 3, 9], prior=0.5, seed=3)
+    def test_any_batch_matches_reference(self, k, lengths, prior, seed):
+        rng = np.random.default_rng(seed)
+        phi = rng.dirichlet(np.ones(40), size=k)
+        folds = [FoldIn(phi[:, rng.integers(40, size=n)].T, prior) for n in lengths]
+        counts = fold_in(folds, [np.random.default_rng(seed)] * len(folds), 3, "LDA")
+        assert [int(n_dk.sum()) for n_dk in counts] == lengths
+        expected_rng = np.random.default_rng(seed)
+        for fold, n_dk in zip(folds, counts):
+            assert np.array_equal(
+                n_dk, reference_fold(fold.columns.T, fold.prior, expected_rng, 3)
+            )
