@@ -72,8 +72,10 @@ class NotFittedError(ReproError):
 class SamplingWeightsError(ReproError):
     """A sampler's weights are not finite and non-negative.
 
-    Raised by the topic models' Gibbs fold-in (naming the model) instead
-    of drawing from a distribution that does not exist.
+    Raised by the topic models' Gibbs fold-in, and by the LDA, LLDA and
+    BTM training sweeps when a token's weights lack a finite positive
+    total (both naming the model), instead of drawing from a
+    distribution that does not exist.
     """
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_index
+from repro.models.topic.gibbs import draw_index, notify_iteration
 from repro.text.pooling import PoolingScheme
 
 __all__ = ["BitermTopicModel", "extract_biterms"]
@@ -94,6 +94,8 @@ class BitermTopicModel(TopicModel):
         self._n_topics = n_topics
         self.alpha = 50.0 / n_topics if alpha is None else alpha
         self.beta = beta
+        if min(self.alpha, beta) <= 0:
+            raise ConfigurationError("alpha and beta must both be > 0")
         self.window = window
         self.max_biterms = max_biterms
         self._phi: np.ndarray | None = None  # K x V
@@ -130,40 +132,55 @@ class BitermTopicModel(TopicModel):
         if self.max_biterms is not None and len(biterms) > self.max_biterms:
             picks = rng.choice(len(biterms), size=self.max_biterms, replace=False)
             biterms = [biterms[i] for i in picks]
-        n_z = np.zeros(k)
-        n_kw = np.zeros((k, vocab_size))
-        z_assign = rng.integers(k, size=len(biterms))
+        z_assign = rng.integers(k, size=len(biterms)).tolist()
+        # Counts as lists; beside them the smoothed factors n_z + α,
+        # n_kw + β (word-major, V x K) and (2 n_z + Vβ)(2 n_z + Vβ + 1),
+        # where a count change recomputes only its own entry.
+        n_z = [0] * k
+        n_wk = [[0] * k for _ in range(vocab_size)]
         for (w1, w2), topic in zip(biterms, z_assign):
             n_z[topic] += 1
-            n_kw[topic, w1] += 1
-            n_kw[topic, w2] += 1
+            n_wk[w1][topic] += 1
+            n_wk[w2][topic] += 1
+        alpha, beta = self.alpha, self.beta
+        v_beta = vocab_size * beta
+        topic_factors = np.array(n_z, dtype=float) + alpha
+        word_factors = np.array(n_wk, dtype=float).reshape(vocab_size, k) + beta
+        totals = 2.0 * np.array(n_z, dtype=float) + v_beta
+        denominators = totals * (totals + 1.0)
+        word_rows = list(word_factors)
+        weights = np.empty(k)
 
-        v_beta = vocab_size * self.beta
+        def move(topic: int, w1: int, w2: int, step: int) -> None:
+            count = n_z[topic] + step
+            n_z[topic] = count
+            topic_factors[topic] = count + alpha
+            total = 2.0 * count + v_beta
+            denominators[topic] = total * (total + 1.0)
+            for w in (w1, w2):
+                row = n_wk[w]
+                count = row[topic] + step
+                row[topic] = count
+                word_rows[w][topic] = count + beta
+
         for iteration in range(self.iterations):
+            draws = rng.random(len(biterms)).tolist()
             for i, (w1, w2) in enumerate(biterms):
-                topic = z_assign[i]
-                n_z[topic] -= 1
-                n_kw[topic, w1] -= 1
-                n_kw[topic, w2] -= 1
-                totals = 2.0 * n_z + v_beta
-                weights = (
-                    (n_z + self.alpha)
-                    * (n_kw[:, w1] + self.beta)
-                    * (n_kw[:, w2] + self.beta)
-                    / (totals * (totals + 1.0))
-                )
-                topic = sample_index(weights, rng)
+                move(z_assign[i], w1, w2, -1)
+                np.multiply(topic_factors, word_rows[w1], weights)
+                np.multiply(weights, word_rows[w2], weights)
+                np.divide(weights, denominators, weights)
+                topic = draw_index(weights, draws[i], self.name)
                 z_assign[i] = topic
-                n_z[topic] += 1
-                n_kw[topic, w1] += 1
-                n_kw[topic, w2] += 1
+                move(topic, w1, w2, 1)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations
             )
 
-        self._phi = (n_kw + self.beta) / (2.0 * n_z[:, None] + v_beta)
-        theta = n_z + self.alpha
-        self._theta = theta / theta.sum()
+        self._phi = np.ascontiguousarray(
+            (word_factors / (2.0 * np.array(n_z, dtype=float) + v_beta)).T
+        )
+        self._theta = topic_factors / topic_factors.sum()
 
     def _infer(self, doc: list[int]) -> np.ndarray:
         """``P(z|d) = Σ_b P(z|b) P(b|d)`` -- no sampling needed."""

@@ -5,7 +5,9 @@ primitives: drawing from an unnormalised discrete distribution, and
 sampling the number of occupied tables in a Chinese Restaurant Process
 (used by HDP's table-count resampling).
 
-Folding unseen documents into a fitted model is the third shared piece:
+Training LDA and Labeled LDA is the third: :class:`LdaCounts` holds the
+count tables of their collapsed Gibbs sampler and runs its sweeps.
+Folding unseen documents into a fitted model is the fourth:
 :func:`fold_in` runs the fold-in sampler of LDA, LLDA, HDP and HLDA for
 a whole batch of documents at once (see its docstring).
 
@@ -20,6 +22,7 @@ models knowing anything about tracing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -32,6 +35,8 @@ __all__ = [
     "FoldIn",
     "GibbsIteration",
     "IterationHook",
+    "LdaCounts",
+    "draw_index",
     "fold_in",
     "notify_iteration",
     "sample_index",
@@ -89,18 +94,144 @@ def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     happen transiently in sparse samplers) rather than crashing the
     chain.
     """
-    total = float(weights.sum())
-    if total <= 0.0 or not np.isfinite(total):
+    total = float(np.add.reduce(weights))
+    if not 0.0 < total < math.inf:
         return int(rng.integers(len(weights)))
-    # Inverse-CDF sampling on the cumulative sum: one uniform draw, and
-    # the index is the count of CDF entries below it (what
-    # searchsorted(side="left") returns on a non-decreasing CDF).
-    # searchsorted itself is avoided: it drops and retakes the GIL on
-    # every call, and one release per token lets the sampling thread
-    # keep losing the GIL race to this loop, so a StackSampler or
-    # ResourceSampler watching a fit could go hundreds of ms without
-    # a sample.
-    return int(np.count_nonzero(np.cumsum(weights) < rng.random() * total))
+    return _inverse_cdf(weights[:-1], rng.random() * total)
+
+
+def draw_index(weights: np.ndarray, uniform: float, model: str) -> int:
+    """:func:`sample_index` with its uniform drawn beforehand.
+
+    A sampler that draws a whole sweep's uniforms in one
+    ``rng.random(n)`` call uses the same stream as ``n`` calls to
+    :func:`sample_index`, provided the fallback never fires: weights
+    whose total is not finite and positive raise
+    :class:`SamplingWeightsError` naming ``model`` instead.
+    """
+    total = float(np.add.reduce(weights))
+    if not 0.0 < total < math.inf:
+        raise SamplingWeightsError(
+            f"{model} training weights must have a finite, positive total"
+        )
+    return _inverse_cdf(weights[:-1], uniform * total)
+
+
+def _inverse_cdf(head: np.ndarray, target: float) -> int:
+    """Index drawn by inverse-CDF sampling; ``head`` is all weights but the last.
+
+    The index is the count of CDF entries below ``target`` (uniform
+    times the pairwise total), found by bisecting the non-decreasing
+    CDF. The last weight's CDF entry is left out: rounding can put it
+    below the pairwise total, and a target above it must still land on
+    the last index rather than one past it. ``np.searchsorted`` is
+    avoided: it drops and retakes the GIL on every call, and one release
+    per token lets the sampling thread keep losing the GIL race to the
+    sampler loop, so a StackSampler or ResourceSampler watching a fit
+    could go hundreds of ms without a sample.
+    """
+    return bisect_left(np.add.accumulate(head).tolist(), target)
+
+
+class LdaCounts:
+    """Count tables of collapsed-Gibbs LDA, and the sweep that updates them.
+
+    LDA and Labeled LDA share the update (Griffiths & Steyvers 2004)
+
+        p(z_i = k | ...) ∝ (n_dk + α) · (n_kw + β) / (n_k + Vβ)
+
+    with counts excluding token ``i``; Labeled LDA restricts each
+    document to its ``allowed`` topics. The counts are Python lists
+    (word-major: ``word_counts[w][k]``). Beside them the smoothed
+    factors ``n_kw + β`` (V x K) and ``n_k + Vβ`` are kept as arrays,
+    and when a count changes only its entry is recomputed, by the same
+    float expression as the whole table. A token's weights are then
+    two vector operations on one contiguous word row (plus a gather of
+    the allowed topics) -- the same values as building the conditional
+    from the count tables.
+
+    ``topics[d]`` is document ``d``'s initial topic per token.
+    """
+
+    def __init__(
+        self,
+        docs: list[list[int]],
+        topics: Sequence[np.ndarray],
+        n_topics: int,
+        vocab_size: int,
+        alpha: float,
+        beta: float,
+        allowed: Sequence[np.ndarray] | None = None,
+    ):
+        self.docs = docs
+        self.topics = [z.tolist() for z in topics]
+        self.alpha = alpha
+        self.beta = beta
+        self.v_beta = vocab_size * beta
+        self.allowed = allowed
+        self.n_tokens = sum(map(len, docs))
+        self.doc_counts = [[0] * n_topics for _ in docs]
+        self.word_counts = [[0] * n_topics for _ in range(vocab_size)]
+        self.topic_counts = [0] * n_topics
+        for doc, z, counts in zip(docs, self.topics, self.doc_counts):
+            for w, topic in zip(doc, z):
+                counts[topic] += 1
+                self.word_counts[w][topic] += 1
+                self.topic_counts[topic] += 1
+        self.word_factors = np.array(self.word_counts, dtype=float).reshape(
+            vocab_size, n_topics
+        ) + beta
+        self.denominators = np.array(self.topic_counts, dtype=float) + self.v_beta
+
+    def sweep(self, uniforms: np.ndarray, model: str) -> None:
+        """Resample every token once, drawing token ``i``'s topic with ``uniforms[i]``."""
+        alpha, beta, v_beta = self.alpha, self.beta, self.v_beta
+        word_counts, topic_counts = self.word_counts, self.topic_counts
+        word_rows = list(self.word_factors)
+        denominators = self.denominators
+        weights = np.empty(len(topic_counts))
+        draws = iter(uniforms.tolist())
+        allowed = self.allowed or [None] * len(self.docs)
+
+        def move(counts: list[int], factors: np.ndarray, topic: int, w: int, step: int) -> None:
+            count = counts[topic] + step
+            counts[topic] = count
+            factors[topic] = count + alpha
+            row = word_counts[w]
+            count = row[topic] + step
+            row[topic] = count
+            word_rows[w][topic] = count + beta
+            count = topic_counts[topic] + step
+            topic_counts[topic] = count
+            denominators[topic] = count + v_beta
+
+        for doc, z, counts, choices in zip(self.docs, self.topics, self.doc_counts, allowed):
+            factors = np.array(counts, dtype=float) + alpha
+            if choices is not None:
+                choice_list = choices.tolist()
+            for i, w in enumerate(doc):
+                move(counts, factors, z[i], w, -1)
+                np.multiply(factors, word_rows[w], weights)
+                np.divide(weights, denominators, weights)
+                if choices is None:
+                    topic = draw_index(weights, next(draws), model)
+                else:
+                    topic = choice_list[draw_index(weights[choices], next(draws), model)]
+                z[i] = topic
+                move(counts, factors, topic, w, 1)
+
+    def phi(self) -> np.ndarray:
+        """Topic-word distributions (K x V) under the current counts."""
+        return np.ascontiguousarray((self.word_factors / self.denominators).T)
+
+    def count_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(n_dk, n_kw, n_k)`` as float arrays (D x K, K x V, K)."""
+        k = len(self.topic_counts)
+        return (
+            np.array(self.doc_counts, dtype=float).reshape(len(self.docs), k),
+            np.array(self.word_counts, dtype=float).reshape(-1, k).T,
+            np.array(self.topic_counts, dtype=float),
+        )
 
 
 @dataclass(frozen=True)

@@ -104,78 +104,77 @@ class HdpModel(TopicModel):
     def _train(self, docs: list[list[int]], raw_docs: list[Sequence[str]]) -> None:
         vocab_size = len(self.vocabulary)
         rng = self._rng
-        k = self.initial_topics
+        alpha = self.alpha
 
-        n_dk = np.zeros((len(docs), self.max_topics))
-        n_kw = np.zeros((self.max_topics, vocab_size))
-        n_k = np.zeros(self.max_topics)
-        assignments: list[np.ndarray] = []
-        for d, doc in enumerate(docs):
-            z = rng.integers(k, size=len(doc))
-            assignments.append(z)
-            for w, topic in zip(doc, z):
-                n_dk[d, topic] += 1
-                n_kw[topic, w] += 1
-                n_k[topic] += 1
+        # Topics are numbered by their position among the active topics:
+        # a new topic takes the next position, and retiring topics shifts
+        # the survivors down in order.
+        counts = _HdpCounts(
+            docs,
+            [rng.integers(self.initial_topics, size=len(doc)) for doc in docs],
+            self.initial_topics,
+            self.max_topics,
+            vocab_size,
+            self.eta,
+        )
+        # Stick weights over the active topics plus the unbroken tail.
+        beta = rng.dirichlet(np.ones(self.initial_topics + 1) * self.gamma)
 
-        # Stick weights over the K active topics plus the unbroken tail.
-        beta = rng.dirichlet(np.ones(k + 1) * self.gamma)
-        active = list(range(k))
-
-        v_eta = vocab_size * self.eta
         for iteration in range(self.iterations):
-            for d, doc in enumerate(docs):
-                z = assignments[d]
+            prior = (alpha * beta[:-1]).tolist()
+            counts.weights[-1] = alpha * beta[-1] / vocab_size
+            for doc, z, doc_counts in zip(docs, counts.topics, counts.doc_counts):
+                factors = np.array(doc_counts, dtype=float) + prior
                 for i, w in enumerate(doc):
                     topic = z[i]
-                    n_dk[d, topic] -= 1
-                    n_kw[topic, w] -= 1
-                    n_k[topic] -= 1
+                    count = doc_counts[topic] - 1
+                    doc_counts[topic] = count
+                    factors[topic] = count + prior[topic]
+                    counts.move(topic, w, -1)
+                    np.divide(counts.word_rows[w], counts.denominators, counts.f_k)
+                    np.multiply(factors, counts.f_k, counts.head)
+                    choice = sample_index(counts.weights, rng)
 
-                    idx = np.array(active)
-                    f_k = (n_kw[idx, w] + self.eta) / (n_k[idx] + v_eta)
-                    weights = (n_dk[d, idx] + self.alpha * beta[:-1]) * f_k
-                    new_weight = self.alpha * beta[-1] / vocab_size
-                    choice = sample_index(np.append(weights, new_weight), rng)
-
-                    if choice == len(active) and len(active) < self.max_topics:
+                    n_active = len(counts.topic_counts)
+                    if choice == n_active and n_active < self.max_topics:
                         # Instantiate a fresh topic; split the remaining stick.
-                        free = [t for t in range(self.max_topics) if t not in set(active)]
-                        topic = free[0]
-                        active.append(topic)
                         b = rng.beta(1.0, self.gamma)
                         beta = np.append(beta[:-1], [beta[-1] * b, beta[-1] * (1.0 - b)])
+                        prior = (alpha * beta[:-1]).tolist()
+                        counts.add_topic()
+                        counts.weights[-1] = alpha * beta[-1] / vocab_size
+                        factors = np.array(doc_counts, dtype=float) + prior
+                        topic = n_active
                     else:
-                        topic = active[min(choice, len(active) - 1)]
+                        topic = min(choice, n_active - 1)
 
                     z[i] = topic
-                    n_dk[d, topic] += 1
-                    n_kw[topic, w] += 1
-                    n_k[topic] += 1
+                    count = doc_counts[topic] + 1
+                    doc_counts[topic] = count
+                    factors[topic] = count + prior[topic]
+                    counts.move(topic, w, 1)
 
             # Retire empty topics, returning their stick mass to the tail.
-            empty = [j for j, t in enumerate(active) if n_k[t] == 0]
+            empty = [j for j, count in enumerate(counts.topic_counts) if count == 0]
             if empty:
                 freed = beta[empty].sum()
-                keep = [j for j in range(len(active)) if j not in set(empty)]
-                active = [active[j] for j in keep]
+                keep = [j for j, count in enumerate(counts.topic_counts) if count]
+                counts.keep_topics(keep)
                 beta = np.append(beta[keep], beta[-1] + freed)
 
             # Resample the global stick from the table counts (Antoniak draws).
-            m_k = np.zeros(len(active))
-            for d in range(len(docs)):
-                for j, t in enumerate(active):
-                    count = int(n_dk[d, t])
+            m_k = np.zeros(len(counts.topic_counts))
+            for doc_counts in counts.doc_counts:
+                for j, count in enumerate(doc_counts):
                     if count > 0:
-                        m_k[j] += sample_crp_tables(count, self.alpha * beta[j], rng)
+                        m_k[j] += sample_crp_tables(count, alpha * beta[j], rng)
             m_k = np.maximum(m_k, 1e-3)  # guard against degenerate Dirichlet params
             beta = rng.dirichlet(np.append(m_k, self.gamma))
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations
             )
 
-        idx = np.array(active)
-        self._phi = (n_kw[idx] + self.eta) / (n_k[idx][:, None] + v_eta)
+        self._phi = counts.phi()
         weights = beta[:-1]
         self._beta_weights = weights / weights.sum()
 
@@ -190,3 +189,108 @@ class HdpModel(TopicModel):
         info = super().describe()
         info.update(alpha=self.alpha, gamma=self.gamma, eta=self.eta)
         return info
+
+
+class _HdpCounts:
+    """HDP's word and topic counts over the active topics, by position.
+
+    The counts are Python lists (word-major: ``word_counts[w][j]``);
+    beside them the smoothed factors ``n_kw + η`` (V x capacity) and
+    ``n_k + Vη`` are kept as arrays, and a count change recomputes only
+    its own entry. The arrays' capacity doubles as topics are born, so
+    a fit that stays near its initial topic count never fills
+    ``max_topics``-wide tables.
+    ``word_rows[w]``, ``denominators``, ``f_k`` and ``head`` are views
+    over the active topics, and ``weights`` is ``head`` plus one entry
+    for a new topic; the views are rebuilt whenever the number of
+    topics changes.
+    """
+
+    def __init__(
+        self,
+        docs: list[list[int]],
+        topics: Sequence[np.ndarray],
+        n_topics: int,
+        max_topics: int,
+        vocab_size: int,
+        eta: float,
+    ):
+        self.max_topics = max_topics
+        self.eta = eta
+        self.v_eta = vocab_size * eta
+        self.topics = [z.tolist() for z in topics]
+        self.doc_counts = [[0] * n_topics for _ in docs]
+        self.word_counts = [[0] * n_topics for _ in range(vocab_size)]
+        self.topic_counts = [0] * n_topics
+        for doc, z, counts in zip(docs, self.topics, self.doc_counts):
+            for w, topic in zip(doc, z):
+                counts[topic] += 1
+                self.word_counts[w][topic] += 1
+                self.topic_counts[topic] += 1
+        self._allocate(min(2 * n_topics, max_topics))
+        self._refill()
+
+    def _allocate(self, capacity: int) -> None:
+        self._word_factors = np.empty((len(self.word_counts), capacity))
+        self._denominators = np.empty(capacity)
+        self._weights = np.empty(capacity + 1)
+        self._f_k = np.empty(capacity)
+
+    def _refill(self) -> None:
+        """Recompute the smoothed factors from the counts."""
+        n_active = len(self.topic_counts)
+        self._word_factors[:, :n_active] = np.array(self.word_counts, dtype=float).reshape(
+            len(self.word_counts), n_active
+        ) + self.eta
+        self._denominators[:n_active] = np.array(self.topic_counts, dtype=float) + self.v_eta
+        self._views()
+
+    def _views(self) -> None:
+        n_active = len(self.topic_counts)
+        self.word_rows = list(self._word_factors[:, :n_active])
+        self.denominators = self._denominators[:n_active]
+        self.f_k = self._f_k[:n_active]
+        self.weights = self._weights[: n_active + 1]
+        self.head = self.weights[:-1]
+
+    def move(self, topic: int, w: int, step: int) -> None:
+        """Add ``step`` to word ``w``'s and ``topic``'s counts."""
+        row = self.word_counts[w]
+        count = row[topic] + step
+        row[topic] = count
+        self.word_rows[w][topic] = count + self.eta
+        count = self.topic_counts[topic] + step
+        self.topic_counts[topic] = count
+        self.denominators[topic] = count + self.v_eta
+
+    def add_topic(self) -> None:
+        """Append an empty topic at the next position."""
+        topic = len(self.topic_counts)
+        for counts in self.doc_counts:
+            counts.append(0)
+        for row in self.word_counts:
+            row.append(0)
+        self.topic_counts.append(0)
+        if topic == len(self._denominators):
+            self._allocate(min(2 * topic, self.max_topics))
+            self._refill()
+            return
+        self._word_factors[:, topic] = self.eta
+        self._denominators[topic] = self.v_eta
+        self._views()
+
+    def keep_topics(self, keep: list[int]) -> None:
+        """Keep only the topics at positions ``keep``, renumbered in order."""
+        position = {old: new for new, old in enumerate(keep)}
+        for z in self.topics:
+            z[:] = [position[topic] for topic in z]
+        self.doc_counts = [[counts[j] for j in keep] for counts in self.doc_counts]
+        self.word_counts = [[row[j] for j in keep] for row in self.word_counts]
+        self.topic_counts = [self.topic_counts[j] for j in keep]
+        self._refill()
+
+    def phi(self) -> np.ndarray:
+        """Topic-word distributions (K x V) of the active topics."""
+        n_active = len(self.topic_counts)
+        word_factors = self._word_factors[:, :n_active]
+        return np.ascontiguousarray((word_factors / self.denominators).T)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_index
+from repro.models.topic.gibbs import FoldIn, LdaCounts, notify_iteration
 
 __all__ = ["LdaModel"]
 
@@ -56,6 +56,8 @@ class LdaModel(TopicModel):
         self._n_topics = n_topics
         self.alpha = 50.0 / n_topics if alpha is None else alpha
         self.beta = beta
+        if min(self.alpha, beta) <= 0:
+            raise ConfigurationError("alpha and beta must both be > 0")
         self._phi: np.ndarray | None = None  # K x V topic-word distributions
 
     @property
@@ -72,45 +74,25 @@ class LdaModel(TopicModel):
     # -- training -----------------------------------------------------------
 
     def _train(self, docs: list[list[int]], raw_docs: list[Sequence[str]]) -> None:
-        vocab_size = len(self.vocabulary)
         k = self._n_topics
         rng = self._rng
-
-        n_dk = np.zeros((len(docs), k))
-        n_kw = np.zeros((k, vocab_size))
-        n_k = np.zeros(k)
-        assignments: list[np.ndarray] = []
-
-        for d, doc in enumerate(docs):
-            z = rng.integers(k, size=len(doc))
-            assignments.append(z)
-            for w, topic in zip(doc, z):
-                n_dk[d, topic] += 1
-                n_kw[topic, w] += 1
-                n_k[topic] += 1
-
-        v_beta = vocab_size * self.beta
+        counts = LdaCounts(
+            docs,
+            [rng.integers(k, size=len(doc)) for doc in docs],
+            k,
+            len(self.vocabulary),
+            self.alpha,
+            self.beta,
+        )
         for iteration in range(self.iterations):
-            for d, doc in enumerate(docs):
-                z = assignments[d]
-                for i, w in enumerate(doc):
-                    topic = z[i]
-                    n_dk[d, topic] -= 1
-                    n_kw[topic, w] -= 1
-                    n_k[topic] -= 1
-                    weights = (n_dk[d] + self.alpha) * (n_kw[:, w] + self.beta) / (n_k + v_beta)
-                    topic = sample_index(weights, rng)
-                    z[i] = topic
-                    n_dk[d, topic] += 1
-                    n_kw[topic, w] += 1
-                    n_k[topic] += 1
+            counts.sweep(rng.random(counts.n_tokens), self.name)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations,
-                self._corpus_log_likelihood(docs, n_dk, n_kw, n_k, v_beta)
+                self._corpus_log_likelihood(docs, *counts.count_arrays(), counts.v_beta)
                 if self.iteration_hook is not None else None,
             )
 
-        self._phi = (n_kw + self.beta) / (n_k[:, None] + v_beta)
+        self._phi = counts.phi()
 
     def _corpus_log_likelihood(
         self,

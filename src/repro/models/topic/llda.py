@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_index
+from repro.models.topic.gibbs import FoldIn, LdaCounts, notify_iteration
 from repro.models.topic.labels import LabelExtractor
 
 __all__ = ["LabeledLdaModel"]
@@ -59,6 +59,8 @@ class LabeledLdaModel(TopicModel):
         super().__init__(**kwargs)
         if n_latent_topics < 1:
             raise ConfigurationError(f"n_latent_topics must be >= 1, got {n_latent_topics}")
+        if beta <= 0 or (alpha is not None and alpha <= 0):
+            raise ConfigurationError("alpha and beta must both be > 0")
         self.n_latent_topics = n_latent_topics
         self._alpha_param = alpha
         self.beta = beta
@@ -105,44 +107,23 @@ class LabeledLdaModel(TopicModel):
             ids = [topic_index[lab] for lab in labs]
             allowed.append(np.concatenate([latent_ids, np.array(ids, dtype=int)]))
 
-        n_dk = np.zeros((len(docs), k))
-        n_kw = np.zeros((k, vocab_size))
-        n_k = np.zeros(k)
-        assignments: list[np.ndarray] = []
-        for d, doc in enumerate(docs):
-            choices = allowed[d]
-            z = choices[rng.integers(len(choices), size=len(doc))]
-            assignments.append(z)
-            for w, topic in zip(doc, z):
-                n_dk[d, topic] += 1
-                n_kw[topic, w] += 1
-                n_k[topic] += 1
-
-        v_beta = vocab_size * self.beta
+        counts = LdaCounts(
+            docs,
+            [choices[rng.integers(len(choices), size=len(doc))]
+             for doc, choices in zip(docs, allowed)],
+            k,
+            vocab_size,
+            self.alpha,
+            self.beta,
+            allowed,
+        )
         for iteration in range(self.iterations):
-            for d, doc in enumerate(docs):
-                z = assignments[d]
-                choices = allowed[d]
-                for i, w in enumerate(doc):
-                    topic = z[i]
-                    n_dk[d, topic] -= 1
-                    n_kw[topic, w] -= 1
-                    n_k[topic] -= 1
-                    weights = (
-                        (n_dk[d, choices] + self.alpha)
-                        * (n_kw[choices, w] + self.beta)
-                        / (n_k[choices] + v_beta)
-                    )
-                    topic = int(choices[sample_index(weights, rng)])
-                    z[i] = topic
-                    n_dk[d, topic] += 1
-                    n_kw[topic, w] += 1
-                    n_k[topic] += 1
+            counts.sweep(rng.random(counts.n_tokens), self.name)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations
             )
 
-        self._phi = (n_kw + self.beta) / (n_k[:, None] + v_beta)
+        self._phi = counts.phi()
 
     def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
         if self._phi is None:

@@ -56,6 +56,13 @@ class TestBtmConfiguration:
         with pytest.raises(ConfigurationError):
             BitermTopicModel(n_topics=2, max_biterms=0)
 
+    @pytest.mark.parametrize(
+        "priors", [dict(alpha=0.0), dict(beta=0.0), dict(alpha=-1.0), dict(beta=-0.5)]
+    )
+    def test_non_positive_priors_rejected(self, priors):
+        with pytest.raises(ConfigurationError):
+            BitermTopicModel(n_topics=2, **priors)
+
     def test_default_alpha(self):
         assert BitermTopicModel(n_topics=50).alpha == pytest.approx(1.0)
 

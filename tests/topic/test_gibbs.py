@@ -3,19 +3,42 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.models.topic.gibbs import sample_index
+from repro.errors import SamplingWeightsError
+from repro.models.topic.gibbs import draw_index, sample_index
+
+#: The largest uniform ``Generator.random`` can return.
+TOP_UNIFORM = 1.0 - 2.0**-53
+
+
+class _FixedUniform:
+    """Stand-in generator whose every uniform is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+    def integers(self, high: int) -> int:
+        raise AssertionError("the uniform fallback must not fire")
 
 
 def _searchsorted_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """The inverse-CDF draw written with ``np.searchsorted``."""
+    """The inverse-CDF draw written with ``np.searchsorted``.
+
+    The CDF leaves out the last weight's entry, so a uniform above every
+    earlier entry lands on the last index even when rounding puts the
+    full cumulative sum below the pairwise total.
+    """
     total = float(weights.sum())
     if total <= 0.0 or not np.isfinite(total):
         return int(rng.integers(len(weights)))
-    return int(np.searchsorted(np.cumsum(weights), rng.random() * total))
+    return int(np.searchsorted(np.cumsum(weights[:-1]), rng.random() * total))
 
 
 class TestSampleIndex:
@@ -40,3 +63,38 @@ class TestSampleIndex:
         rng = np.random.default_rng(0)
         draws = {sample_index(np.zeros(3), rng) for _ in range(200)}
         assert draws == {0, 1, 2}
+
+    def test_top_uniform_stays_on_the_last_index(self):
+        # np.cumsum(weights)[-1] rounds below the pairwise weights.sum()
+        # here, so counting the full CDF's entries below the top uniform
+        # returned 24: one past the last index.
+        weights = np.full(24, 1 / 3)
+        assert np.cumsum(weights)[-1] < TOP_UNIFORM * weights.sum()
+        assert sample_index(weights, _FixedUniform(TOP_UNIFORM)) == 23
+        assert draw_index(weights, TOP_UNIFORM, "LDA") == 23
+
+    @given(
+        arrays(float, st.integers(1, 64), elements=st.floats(0.01, 10)),
+        st.sampled_from([0.0, 0.5, TOP_UNIFORM]),
+    )
+    def test_index_is_always_in_range(self, weights, uniform):
+        assert 0 <= sample_index(weights, _FixedUniform(uniform)) < len(weights)
+
+
+class TestDrawIndex:
+    @given(
+        arrays(float, st.integers(1, 64), elements=st.floats(0.01, 10)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sample_index(self, weights, seed):
+        uniform = np.random.default_rng(seed).random()
+        assert draw_index(weights, uniform, "LDA") == (
+            sample_index(weights, np.random.default_rng(seed))
+        )
+
+    @pytest.mark.parametrize(
+        "weights", [np.zeros(3), np.array([1.0, np.nan]), np.array([np.inf, 1.0])]
+    )
+    def test_degenerate_total_raises_naming_the_model(self, weights):
+        with pytest.raises(SamplingWeightsError, match="BTM"):
+            draw_index(weights, 0.5, "BTM")

@@ -39,6 +39,13 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             LdaModel(n_topics=0)
 
+    @pytest.mark.parametrize(
+        "priors", [dict(alpha=0.0), dict(beta=0.0), dict(alpha=-1.0), dict(beta=-0.5)]
+    )
+    def test_non_positive_priors_rejected(self, priors):
+        with pytest.raises(ConfigurationError):
+            LdaModel(n_topics=4, **priors)
+
 
 class TestTraining:
     @pytest.fixture(scope="class")

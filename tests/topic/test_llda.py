@@ -40,6 +40,13 @@ class TestLabeledLda:
         with pytest.raises(ConfigurationError):
             LabeledLdaModel(n_latent_topics=0)
 
+    @pytest.mark.parametrize(
+        "priors", [dict(alpha=0.0), dict(beta=0.0), dict(alpha=-1.0), dict(beta=-0.5)]
+    )
+    def test_non_positive_priors_rejected(self, priors):
+        with pytest.raises(ConfigurationError):
+            LabeledLdaModel(n_latent_topics=2, **priors)
+
     def test_topic_inventory_is_latent_plus_labels(self, fitted):
         names = fitted.topic_names
         assert "Topic 1" in names and "Topic 2" in names
