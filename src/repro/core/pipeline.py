@@ -25,6 +25,14 @@ artifact with a deterministic cache key; the prepared corpus is cached
 per (source, user set), so a sweep over many configurations prepares
 each source's corpus exactly once (``corpus_cache.hit`` /
 ``corpus_cache.miss`` counters record the sharing).
+
+Configurations with the same *fit key* (corpus plus
+:meth:`~repro.models.base.RepresentationModel.fit_params`) also share
+work: bag and graph models represent each document once per fit key
+(``represent_cache.*``), and configurations that differ only in their
+similarity measure share one set of profiles (``profile_cache.*``).
+Each reusing evaluation is charged the seconds the shared build took,
+so TTime and ETime stay per-configuration, as in the paper's Fig. 7.
 """
 
 from __future__ import annotations
@@ -46,8 +54,10 @@ from repro.core.stages import (
     FittedModel,
     PreparedCorpus,
     RankingOutcome,
+    RepresentationMemo,
     UserProfiles,
     artifact_key,
+    canonical_params,
     stage_checkpoint,
 )
 from repro.errors import ConfigurationError, DataGenerationError
@@ -101,7 +111,9 @@ class ExperimentPipeline:
 
     Splits, preprocessed documents and per-source prepared corpora are
     cached, so evaluating many (model, source) combinations over the
-    same users re-tokenises nothing and re-assembles no corpus.
+    same users re-tokenises nothing and re-assembles no corpus. Document
+    representations and user profiles are kept for the current fit key
+    only (see :meth:`_shared_for`).
 
     Parameters
     ----------
@@ -141,6 +153,9 @@ class ExperimentPipeline:
     )
     _profile_cache: ArtifactCache = field(
         default_factory=lambda: ArtifactCache("profile_cache"), repr=False
+    )
+    _represent_memo: RepresentationMemo = field(
+        default_factory=RepresentationMemo, repr=False
     )
 
     # -- splits and preprocessing ------------------------------------------
@@ -293,7 +308,7 @@ class ExperimentPipeline:
                 stage="fit",
                 corpus=corpus.key,
                 model=model.name,
-                params=model.describe(),
+                params=model.fit_params(),
             ),
             recommender=recommender,
             corpus=corpus,
@@ -324,14 +339,39 @@ class ExperimentPipeline:
         keys = [(t.timestamp, t.tweet_id) for t in tweets]
         return docs, labels, keys
 
+    def _shared_for(self, fitted: FittedModel, share: bool) -> RepresentationMemo | None:
+        """The representation memo bound to ``fitted``, or ``None`` when
+        the evaluation does not ``share`` or its model's representations
+        cannot be shared (random draws).
+
+        Moving to another fit key drops the previous key's
+        representations and profiles: a sweep runs each fit key's cells
+        one after another (:class:`~repro.experiments.runner.SweepRunner`
+        groups them), so nothing would reuse them later.
+        """
+        memo = self._represent_memo
+        if fitted.key != memo.key:
+            self._profile_cache.clear()
+        model = fitted.model
+        shared = share and model.pure_represent
+        memo.bind(fitted.key, model if shared else None)
+        return memo if shared else None
+
+    @staticmethod
+    def fit_group(source: str, model: RepresentationModel) -> tuple[str, str]:
+        """``(source, canonical fit params)``: evaluations in one group
+        share representations and profiles."""
+        return source, canonical_params(model.fit_params())
+
     def profile_key(self, fitted: FittedModel) -> str:
         """Deterministic cache key of one fitted model's user profiles.
 
-        Includes every profile-affecting parameter
+        Includes the fit key, every profile-affecting parameter
         (:meth:`~repro.models.base.RepresentationModel.profile_params`:
         aggregation, Rocchio weights, temporal decay) and the protocol
         version, so changing a decay or window parameter is a cache
-        miss, never a stale hit.
+        miss, never a stale hit. The similarity measure is not part of
+        it: configurations that differ only there share profiles.
         """
         model = fitted.model
         params = (
@@ -347,7 +387,10 @@ class ExperimentPipeline:
         )
 
     def build_profiles(
-        self, fitted: FittedModel, stopwatch: Stopwatch | None = None
+        self,
+        fitted: FittedModel,
+        stopwatch: Stopwatch | None = None,
+        share: bool = False,
     ) -> UserProfiles:
         """Stage 3: one user model per evaluated user.
 
@@ -359,6 +402,12 @@ class ExperimentPipeline:
         each user's split cutoff. ``stopwatch`` (when given) measures
         each profile build individually, reproducing the per-user
         ``profiles`` spans of the trace tree.
+
+        With ``share``, documents are represented through the shared
+        memo (see :meth:`_shared_for`); a reused representation is
+        charged to ``stopwatch`` at the seconds its first build took. A
+        cache hit charges each user's recorded build seconds, so a
+        reusing evaluation reports the TTime it would have paid alone.
         """
         stage_checkpoint("profiles")
         if stopwatch is None:
@@ -368,17 +417,25 @@ class ExperimentPipeline:
         temporal = getattr(model, "temporal", None)
         if temporal is not None and temporal.is_identity:
             temporal = None
+        memo = self._shared_for(fitted, share)
         key = self.profile_key(fitted)
         cached = self._profile_cache.peek(key, self.telemetry)
         if cached is not None:
+            for uid in corpus.users:
+                stopwatch.record(cached.build_seconds[uid])
             return cached
 
         profiles: dict[int, object] = {}
+        build_seconds: dict[int, float] = {}
         for uid in corpus.users:
             docs, labels, keys = self.profile_inputs(fitted, uid)
             with stopwatch.measure():
                 try:
-                    state = model.init_profile()
+                    state = (
+                        model.init_profile()
+                        if memo is None
+                        else model.init_profile(memo.represent)
+                    )
                 except NotImplementedError:
                     if temporal is not None:
                         raise ConfigurationError(
@@ -386,13 +443,18 @@ class ExperimentPipeline:
                             "temporal weighting requires one"
                         ) from None
                     profiles[uid] = fitted.recommender.build_profile(docs, labels=labels)
-                    continue
-                state.update(docs, labels=labels, keys=keys)
-                if temporal is None:
-                    profiles[uid] = state.value()
                 else:
-                    reference = self.split_for(uid).cutoff
-                    profiles[uid] = state.decayed(temporal.weight_fn(reference))
+                    state.update(docs, labels=labels, keys=keys)
+                    if temporal is None:
+                        profiles[uid] = state.value()
+                    else:
+                        reference = self.split_for(uid).cutoff
+                        profiles[uid] = state.decayed(temporal.weight_fn(reference))
+                if memo is not None:
+                    stopwatch.charge(memo.take_charged())
+            build_seconds[uid] = stopwatch.last
+        if memo is not None:
+            memo.flush(self.telemetry)
         params = (
             model.profile_params()
             if hasattr(model, "profile_params")
@@ -405,6 +467,7 @@ class ExperimentPipeline:
                 profiles=profiles,
                 params=params,
                 version=PROFILE_PROTOCOL_VERSION,
+                build_seconds=build_seconds,
             ),
         )
 
@@ -413,11 +476,19 @@ class ExperimentPipeline:
         fitted: FittedModel,
         profiles: UserProfiles,
         stopwatch: Stopwatch | None = None,
+        share: bool = False,
     ) -> RankingOutcome:
-        """Stage 4: rank every user's test set and compute her AP."""
+        """Stage 4: rank every user's test set and compute her AP.
+
+        With ``share``, candidates are represented through the shared
+        memo, and a reused representation is charged to ``stopwatch`` at
+        the seconds its first build took.
+        """
         stage_checkpoint("rank")
         if stopwatch is None:
             stopwatch = Stopwatch()
+        memo = self._shared_for(fitted, share)
+        represent = memo.represent if memo is not None else None
         context = self._context_for(fitted.corpus.users)
         per_user_ap: dict[int, float] = {}
         for uid in fitted.corpus.users:
@@ -426,9 +497,15 @@ class ExperimentPipeline:
             docs = [self._doc(t, context) for t in candidates]
             relevant = split.relevant_ids
             with stopwatch.measure():
-                ranking = fitted.recommender.rank(profiles.profiles[uid], docs)
+                ranking = fitted.recommender.rank(
+                    profiles.profiles[uid], docs, represent=represent
+                )
+                if memo is not None:
+                    stopwatch.charge(memo.take_charged())
             flags = [candidates[item.position].tweet_id in relevant for item in ranking]
             per_user_ap[uid] = average_precision(flags)
+        if memo is not None:
+            memo.flush(self.telemetry)
         return RankingOutcome(
             key=artifact_key(stage="rank", profiles=profiles.key),
             per_user_ap=per_user_ap,
@@ -441,8 +518,15 @@ class ExperimentPipeline:
         model: RepresentationModel,
         source: RepresentationSource,
         user_ids: Sequence[int],
+        share: bool = False,
     ) -> EvaluationResult:
-        """Evaluate one model on one source over the given users."""
+        """Evaluate one model on one source over the given users.
+
+        ``share`` keeps the document representations for evaluations
+        with the same fit key that follow (a sweep sets it when another
+        of its cells has that fit key). Without it, documents are
+        represented as if nothing were shared, and none are kept.
+        """
         aggregation = getattr(model, "aggregation", None)
         uses_rocchio = aggregation is AggregationFunction.ROCCHIO
         if uses_rocchio and not source.has_negative_examples:
@@ -464,8 +548,8 @@ class ExperimentPipeline:
                 prepared = self.prepare_corpus(source, users)
             with fit_time.measure():
                 fitted = self.fit_model(model, prepared)
-            user_profiles = self.build_profiles(fitted, stopwatch=profile_time)
-            ranked = self.rank_users(fitted, user_profiles, stopwatch=rank_time)
+            user_profiles = self.build_profiles(fitted, profile_time, share)
+            ranked = self.rank_users(fitted, user_profiles, rank_time, share)
 
             result = EvaluationResult(
                 model=model.name,

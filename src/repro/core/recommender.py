@@ -13,7 +13,7 @@ reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -53,13 +53,28 @@ class RankingRecommender:
         """Assemble one user's model from her training documents."""
         return self.model.build_user_model(docs, labels=labels)
 
-    def rank(self, user_model: Any, candidates: Sequence[Doc]) -> list[RankedItem]:
-        """Candidates in decreasing similarity to the user model."""
+    def rank(
+        self,
+        user_model: Any,
+        candidates: Sequence[Doc],
+        represent: Callable[[Doc], Any] | None = None,
+    ) -> list[RankedItem]:
+        """Candidates in decreasing similarity to the user model.
+
+        ``represent`` replaces the model's own ``represent_many`` with a
+        per-document function (a pipeline passes its shared
+        representations); the scores are the same either way.
+        """
         model = self.model
         prepared = model.prepare_profile(user_model)
+        represented = (
+            model.represent_many(candidates)
+            if represent is None
+            else map(represent, candidates)
+        )
         scored = [
-            RankedItem(position=i, score=float(model.score(prepared, represented)))
-            for i, represented in enumerate(model.represent_many(candidates))
+            RankedItem(position=i, score=float(model.score(prepared, vector)))
+            for i, vector in enumerate(represented)
         ]
         scored.sort(key=lambda item: (-item.score, item.position))
         return scored

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -39,7 +40,8 @@ from typing import Any
 
 from repro.core.recommender import RankingRecommender
 from repro.core.sources import RepresentationSource
-from repro.models.base import TextDoc
+from repro.eval.timing import collector_seconds
+from repro.models.base import Doc, RepresentationModel, TextDoc
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.twitter.entities import Tweet
 
@@ -49,6 +51,7 @@ __all__ = [
     "FittedModel",
     "PreparedCorpus",
     "RankingOutcome",
+    "RepresentationMemo",
     "UserProfiles",
     "artifact_key",
     "canonical_params",
@@ -146,7 +149,13 @@ class PreparedCorpus:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Stage-2 artifact: a recommender fitted on a prepared corpus."""
+    """Stage-2 artifact: a recommender fitted on a prepared corpus.
+
+    ``key`` is the *fit key*: the corpus plus the model's
+    :meth:`~repro.models.base.RepresentationModel.fit_params`. Two
+    configurations that differ only in aggregation or similarity fit to
+    the same key, so they may share representations and profiles.
+    """
 
     key: str
     recommender: RankingRecommender = field(hash=False)
@@ -168,12 +177,16 @@ class UserProfiles:
     profile mappings themselves are immutable artifacts -- mutate a
     profile only through :class:`repro.models.base.ProfileState`, never
     in place (reprolint RPR010 enforces this).
+
+    ``build_seconds`` records what building each user's profile cost,
+    so an evaluation that reuses the artifact is charged the same.
     """
 
     key: str
     profiles: Mapping[int, object] = field(hash=False)
     params: Mapping[str, Any] = field(default_factory=dict, hash=False)
     version: int = PROFILE_PROTOCOL_VERSION
+    build_seconds: Mapping[int, float] = field(default_factory=dict, hash=False)
 
 
 @dataclass(frozen=True)
@@ -182,6 +195,76 @@ class RankingOutcome:
 
     key: str
     per_user_ap: Mapping[int, float] = field(hash=False)
+
+
+class RepresentationMemo:
+    """Each document's representation under one fit key, built once.
+
+    :meth:`represent` stands in for the model's own ``represent`` during
+    profile folding and ranking. A document is represented on its first
+    request; later requests return the same object and add the seconds
+    that first build took to :attr:`charged`, so the caller can bill a
+    reusing evaluation what the build cost, less any garbage-collector
+    pause inside it (see :func:`~repro.eval.timing.collector_seconds`).
+    Shared representations are read-only. :meth:`bind` to a different
+    key drops every entry, so the memo holds one fit key's documents at
+    a time. Its hit/miss counters are named as :class:`ArtifactCache`'s,
+    under ``represent_cache``.
+
+    Entries are keyed by document identity (the pipeline hands out one
+    object per tweet) and hold the document, so no key is reused while
+    its entry lives.
+    """
+
+    name = "represent_cache"
+
+    def __init__(self) -> None:
+        self.key: str | None = None
+        self._model: RepresentationModel | None = None
+        self._entries: dict[int, tuple[Doc, Any, float]] = {}
+        self.charged = 0.0
+        self.hits = 0
+        self.misses = 0
+
+    def bind(self, key: str, model: RepresentationModel | None) -> "RepresentationMemo":
+        """Serve ``model``'s representations under fit key ``key``.
+
+        Charges left by an evaluation that stopped early are dropped.
+        """
+        if key != self.key:
+            self.key = key
+            self._entries.clear()
+        self._model = model
+        self.charged = 0.0
+        return self
+
+    def represent(self, doc: Doc) -> Any:
+        entry = self._entries.get(id(doc))
+        if entry is not None:
+            self.hits += 1
+            self.charged += entry[2]
+            return entry[1]
+        paused = collector_seconds()
+        start = time.perf_counter()
+        representation = self._model.represent(doc)  # type: ignore[union-attr]
+        seconds = time.perf_counter() - start - (collector_seconds() - paused)
+        self._entries[id(doc)] = (doc, representation, seconds)
+        self.misses += 1
+        return representation
+
+    def take_charged(self) -> float:
+        """Seconds charged since the last call."""
+        charged, self.charged = self.charged, 0.0
+        return charged
+
+    def flush(self, telemetry: Telemetry | None = None) -> None:
+        """Record the hits and misses since the last flush as counters."""
+        tel = telemetry if telemetry is not None else NULL_TELEMETRY
+        if self.hits:
+            tel.count(f"{self.name}.hit", self.hits)
+        if self.misses:
+            tel.count(f"{self.name}.miss", self.misses)
+        self.hits = self.misses = 0
 
 
 class ArtifactCache:

@@ -14,6 +14,7 @@ aggregates min/avg/max across runs for the Figure 7 report.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -21,14 +22,53 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Stopwatch", "TimingSummary", "summarize_timings"]
+__all__ = ["Stopwatch", "TimingSummary", "collector_seconds", "summarize_timings"]
+
+
+class _CollectorClock:
+    """Seconds the cyclic garbage collector has paused this process."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._started = 0.0
+        gc.callbacks.append(self._on_collection)
+
+    def _on_collection(self, phase: str, info: dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+
+
+_COLLECTOR = _CollectorClock()
+
+
+def collector_seconds() -> float:
+    """Seconds the garbage collector has paused this process so far.
+
+    The representation memo leaves the pauses inside a document's first
+    build out of the seconds it charges to each evaluation that reuses
+    the document. A pause is paid once, by the evaluation it
+    interrupted, as when nothing is shared; charged per reuse, one pause
+    that lands in a document's build would be billed to every
+    configuration that ranks or folds that document.
+    """
+    return _COLLECTOR.seconds
 
 
 class Stopwatch:
-    """Accumulates wall-clock time across multiple measured segments."""
+    """Accumulates wall-clock time across multiple measured segments.
+
+    Seconds measured elsewhere -- the first build of a shared artifact
+    that this measurement reuses -- count too: :meth:`charge` adds them
+    to the open segment, :meth:`record` adds a whole segment. ``last``
+    is the most recent segment's seconds, charges included.
+    """
 
     def __init__(self) -> None:
         self._elapsed = 0.0
+        self._charged = 0.0
+        self.last = 0.0
 
     @contextmanager
     def measure(self) -> Iterator[None]:
@@ -37,11 +77,25 @@ class Stopwatch:
         try:
             yield
         finally:
-            self._elapsed += time.perf_counter() - start
+            self._close(time.perf_counter() - start)
+
+    def _close(self, seconds: float) -> None:
+        self.last = seconds + self._charged
+        self._charged = 0.0
+        self._elapsed += self.last
+
+    def charge(self, seconds: float) -> None:
+        """Add ``seconds`` measured elsewhere to the open segment."""
+        self._charged += seconds
+
+    def record(self, seconds: float) -> None:
+        """Add a whole segment of ``seconds`` measured elsewhere."""
+        self.last = seconds
+        self._elapsed += seconds
 
     @property
     def elapsed(self) -> float:
-        """Total measured seconds."""
+        """Total seconds: measured segments plus charges."""
         return self._elapsed
 
     def reset(self) -> None:

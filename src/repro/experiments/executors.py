@@ -152,6 +152,10 @@ class Cell:
     label: str = field(hash=False)
     source: str = field(hash=False)
     users: tuple[int, ...] = field(hash=False)
+    #: Another cell of the sweep has this cell's source and fit key, so
+    #: the pipeline keeps the representations it builds for that cell
+    #: (``ExperimentPipeline.evaluate(share=...)``).
+    shares_fit: bool = field(default=False, hash=False, compare=False)
 
     @property
     def params_key(self) -> str:
@@ -282,7 +286,10 @@ def evaluate_cell(
                         fault_plan, cell.model, cell.source, cell.params_key, attempt
                     ):
                         result = pipeline.evaluate(
-                            config.build(), RepresentationSource(cell.source), list(cell.users)
+                            config.build(),
+                            RepresentationSource(cell.source),
+                            list(cell.users),
+                            share=cell.shares_fit,
                         )
                 except ConfigurationError as error:
                     outcome.skipped = str(error)
@@ -387,6 +394,7 @@ class SerialCellExecutor:
                             config.build(),
                             RepresentationSource(cell.source),
                             list(cell.users),
+                            share=cell.shares_fit,
                         )
                 except ConfigurationError as error:
                     # Invalid (config, source) pairings are protocol

@@ -26,8 +26,9 @@ Figure 7.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.pipeline import ExperimentPipeline
 from repro.core.sources import RepresentationSource
@@ -210,6 +211,17 @@ class SweepRunner:
         self.groups = groups
         self.telemetry = telemetry
 
+    def _fit_group(self, cell: Cell, config: ModelConfig) -> object:
+        """The ``(source, fit key)`` group ``cell`` is dispatched with.
+
+        A configuration whose model cannot be built is a group of its
+        own, so the executor reports its error as for any other cell.
+        """
+        try:
+            return self.pipeline.fit_group(cell.source, config.build())
+        except Exception:
+            return cell.key
+
     def _telemetry(self) -> Telemetry:
         if self.telemetry is not None:
             return self.telemetry
@@ -354,6 +366,21 @@ class SweepRunner:
                         )
                     pending.append((cell, config))
 
+            # Run each (source, fit key) group's cells back to back, so
+            # the pipeline reuses their shared representations and
+            # profiles before it drops them; rows keep canonical order.
+            # A group of one cell has nothing to share.
+            fit_groups = [self._fit_group(cell, config) for cell, config in pending]
+            sizes = Counter(fit_groups)
+            first_seen: dict[object, int] = {}
+            order = sorted(
+                range(len(pending)),
+                key=lambda i: first_seen.setdefault(fit_groups[i], len(first_seen)),
+            )
+            pending = [
+                (replace(pending[i][0], shares_fit=sizes[fit_groups[i]] > 1), pending[i][1])
+                for i in order
+            ]
             with tel.span("sweep", jobs=jobs, cells=len(pending)):
                 for cell, _config in pending:
                     tel.count("sweep.cells.dispatched")

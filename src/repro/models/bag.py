@@ -56,16 +56,25 @@ class BagProfileState(ProfileState):
     changes with every fold -- its :meth:`value` replays the batch
     :func:`~repro.models.aggregation.rocchio_aggregate` over the
     retained vectors instead, which is exact by construction.
+
+    ``represent`` replaces the model's own :meth:`BagModel.represent`
+    (a pipeline passes its shared representations); the vectors it
+    returns are only read, never changed.
     """
 
-    def __init__(self, model: "BagModel") -> None:
+    def __init__(
+        self,
+        model: "BagModel",
+        represent: Callable[[Doc], SparseVector] | None = None,
+    ) -> None:
         super().__init__()
         self._model = model
+        self._represent = represent if represent is not None else model.represent
         self._entries: list[tuple[Any, SparseVector, int | None]] = []
         self._running: SparseVector = {}
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
-        vector = self._model.represent(doc)
+        vector = self._represent(doc)
         self._entries.append((key, vector, label))
         aggregation = self._model.aggregation
         if aggregation is AggregationFunction.SUM:
@@ -151,6 +160,7 @@ class BagModel(RepresentationModel):
     """
 
     character_based: bool = False
+    pure_represent = True
 
     def __init__(
         self,
@@ -209,8 +219,10 @@ class BagModel(RepresentationModel):
             raise ConfigurationError("Rocchio aggregation requires positive/negative labels")
         return self.init_profile().update(docs, labels=labels).value()
 
-    def init_profile(self) -> BagProfileState:
-        return BagProfileState(self)
+    def init_profile(
+        self, represent: Callable[[Doc], SparseVector] | None = None
+    ) -> BagProfileState:
+        return BagProfileState(self, represent)
 
     def prepare_profile(self, user_model: SparseVector) -> PreparedVector:
         return prepare_vector(user_model)
@@ -226,6 +238,9 @@ class BagModel(RepresentationModel):
             "aggregation": self.aggregation.value,
             "similarity": self.similarity.value,
         }
+
+    def fit_params(self) -> dict[str, object]:
+        return {"model": self.name, "n": self.n, "weighting": self.weighting.value}
 
     def profile_params(self) -> dict[str, object]:
         params = super().profile_params()

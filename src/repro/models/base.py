@@ -179,6 +179,13 @@ class RepresentationModel(abc.ABC):
     #: ``None`` keeps the paper's undecayed behaviour).
     temporal: Any = None
 
+    #: Whether :meth:`represent` is a pure function of the document and
+    #: :meth:`fit_params` (no random draws). A pipeline may then
+    #: represent each document once and share the result between
+    #: configurations that fit the same way; such a model's
+    #: :meth:`init_profile` takes that shared ``represent`` function.
+    pure_represent: bool = False
+
     @abc.abstractmethod
     def fit(self, corpus: Sequence[Doc], user_ids: Sequence[str] | None = None) -> "RepresentationModel":
         """Learn corpus-level statistics from training documents.
@@ -245,6 +252,16 @@ class RepresentationModel(abc.ABC):
         self.temporal = temporal
         return self
 
+    def fit_params(self) -> dict[str, Any]:
+        """Every parameter that :meth:`fit` and :meth:`represent` depend on.
+
+        Two models with equal fit parameters, fitted on the same corpus,
+        represent every document identically; the pipeline's fit key is
+        built from this. The default is the whole :meth:`describe`, so
+        nothing is shared unless a family narrows it.
+        """
+        return self.describe()
+
     def profile_params(self) -> dict[str, Any]:
         """Every parameter that changes a built profile's *values*.
 
@@ -252,9 +269,12 @@ class RepresentationModel(abc.ABC):
         alters aggregation, supervision weights or temporal decay must
         appear here -- a stale hit would silently serve profiles built
         under different parameters. Family bases extend this with their
-        aggregation-affecting knobs.
+        aggregation-affecting knobs. The similarity measure is left out:
+        it scores a built profile but never changes one.
         """
-        params: dict[str, Any] = dict(self.describe())
+        params: dict[str, Any] = {
+            k: v for k, v in self.describe().items() if k != "similarity"
+        }
         if self.temporal is not None:
             params["temporal"] = dict(self.temporal.describe())
         return params

@@ -213,18 +213,27 @@ class GraphProfileState(ProfileState):
     :meth:`decayed` refolds the retained document graphs with learning
     factor ``w_i / (w_1 + ... + w_i)`` -- the weighted running average;
     all-ones weights reduce to ``1 / i``, i.e. the undecayed profile.
+
+    ``represent`` replaces the model's own :meth:`GraphModel.represent`
+    (a pipeline passes its shared representations); the graphs it
+    returns are only read, never changed.
     """
 
-    def __init__(self, model: "GraphModel") -> None:
+    def __init__(
+        self,
+        model: "GraphModel",
+        represent: Callable[[Doc], NGramGraph] | None = None,
+    ) -> None:
         super().__init__()
         self._model = model
+        self._represent = represent if represent is not None else model.represent
         self._entries: list[tuple[Any, NGramGraph]] = []
         self._graph = NGramGraph()
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
         if label is not None and label != 1:
             return
-        graph = self._model.represent(doc)
+        graph = self._represent(doc)
         self._entries.append((key, graph))
         self._graph = self._graph.updated(graph, 1.0 / len(self._entries))
 
@@ -254,6 +263,8 @@ class GraphModel(RepresentationModel):
     similarity:
         CoS, VS, or NS.
     """
+
+    pure_represent = True
 
     def __init__(self, n: int, similarity: GraphSimilarity = GraphSimilarity.VALUE):
         if n < 1:
@@ -285,14 +296,19 @@ class GraphModel(RepresentationModel):
         """
         return self.init_profile().update(docs, labels=labels).value()
 
-    def init_profile(self) -> GraphProfileState:
-        return GraphProfileState(self)
+    def init_profile(
+        self, represent: Callable[[Doc], NGramGraph] | None = None
+    ) -> GraphProfileState:
+        return GraphProfileState(self, represent)
 
     def score(self, user_model: NGramGraph, doc_model: NGramGraph) -> float:
         return self._similarity_fn(user_model, doc_model)
 
     def describe(self) -> dict[str, object]:
         return {"model": self.name, "n": self.n, "similarity": self.similarity.value}
+
+    def fit_params(self) -> dict[str, object]:
+        return {"model": self.name, "n": self.n}
 
 
 class TokenNGramGraphModel(GraphModel):

@@ -188,7 +188,10 @@ class SpanStopwatch(Stopwatch):
     """Drop-in :class:`Stopwatch` that records each segment as a span.
 
     ``elapsed`` accumulates the *span* durations, so trace rollups and
-    the legacy TTime/ETime totals are identical by construction.
+    the legacy TTime/ETime totals are identical by construction. Charged
+    seconds lengthen the open segment's span, and a recorded segment
+    becomes a span of that duration, so a run that reuses shared work
+    has the same spans as one that builds it.
     """
 
     def __init__(self, tracer: Tracer, name: str, **attributes: object):
@@ -205,4 +208,11 @@ class SpanStopwatch(Stopwatch):
                 yield
         finally:
             if span is not None and span.duration is not None:
-                self._elapsed += span.duration
+                self._close(span.duration)
+                span.duration = self.last
+
+    def record(self, seconds: float) -> None:
+        with self._tracer.span(self._name, **self._attributes) as span:
+            pass
+        span.duration = seconds
+        super().record(seconds)
