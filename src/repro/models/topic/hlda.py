@@ -26,14 +26,17 @@ among existing paths.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, NotFittedError, SamplingWeightsError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_index
+from repro.models.topic.gibbs import FoldIn, draw_index, notify_iteration, sample_index
 
 __all__ = ["HldaModel"]
 
@@ -127,74 +130,107 @@ class HldaModel(TopicModel):
             parent.children.append(node)
         return node
 
-    def _candidate_paths(self, allow_new: bool) -> Iterator[tuple[list[_Node | None], float]]:
-        """Yield (path, log nCRP prior) pairs.
+    def _branch_weights(self, node: _Node) -> tuple[list[float], float]:
+        """nCRP weights of entering each child of ``node``, and of a new branch.
 
-        A path element of ``None`` denotes "create a new node here"; once
-        a path goes new it stays new below that point (a fresh branch).
+        The resampled document is already out of ``n_docs``, yet the
+        denominator subtracts it again (``n_docs - 1 + γ``; the initial
+        path uses ``n_docs + γ``), so the weights sum to
+        ``(n + γ) / (n - 1 + γ)``, not 1. Kept: fixing it changes the chain.
+        """
+        gamma = self.gamma
+        denom = node.n_docs - 1 + gamma
+        if denom <= 0:
+            denom = gamma
+        children = [
+            child.n_docs / denom if child.n_docs > 0 else gamma / denom
+            for child in node.children
+        ]
+        return children, gamma / denom
+
+    def _path_scores(
+        self, level_counts: list[dict[int, int]], vocab_size: int
+    ) -> tuple[list[_Node], list[float]]:
+        """Log nCRP prior plus log likelihood of every candidate path.
+
+        A candidate is an existing leaf or a fresh branch below an internal
+        node, given as its deepest existing node, in depth-first order with
+        a node's fresh branch after its children. The likelihood is the
+        Dirichlet-multinomial marginal of the document's per-level word
+        counts, summed level by level, so one walk of the tree computes each
+        node's terms once and hands the running total to its children. An
+        empty node's terms (fresh branches, absent words) are computed once
+        per level.
         """
         assert self._root is not None
-
-        def walk(node: _Node, level: int, log_prior: float, prefix: list[_Node | None]):
-            if level == self.levels - 1:
-                yield prefix + [], log_prior
-                return
-            denom = node.n_docs - 1 + self.gamma
-            if denom <= 0:
-                denom = self.gamma
-            for child in node.children:
-                weight = child.n_docs / denom if child.n_docs > 0 else self.gamma / denom
-                if weight <= 0:
-                    continue
-                yield from walk(
-                    child, level + 1, log_prior + math.log(weight), prefix + [child]
-                )
-            if allow_new:
-                # One fresh branch: all remaining levels are new nodes.
-                new_tail: list[_Node | None] = [None] * (self.levels - 1 - level)
-                yield prefix + new_tail, log_prior + math.log(self.gamma / denom)
-
-        for path, lp in walk(self._root, 0, 0.0, [self._root]):
-            yield path, lp
-
-    def _path_log_likelihood(
-        self, path: Sequence[_Node | None], level_counts: list[dict[int, int]], vocab_size: int
-    ) -> float:
-        """Dirichlet-multinomial marginal likelihood of the document's
-        per-level word counts under the candidate path."""
-        beta = self.beta
+        beta, last = self.beta, self.levels - 1
         v_beta = vocab_size * beta
-        total = 0.0
-        for level, counts in enumerate(level_counts):
-            if not counts:
-                continue
-            node = path[level]
-            node_total = node.total_count if node is not None else 0.0
-            node_words = node.word_counts if node is not None else {}
-            doc_total = sum(counts.values())  # repro: allow[RPR002] -- integer token counts: addition is exact
-            total += math.lgamma(node_total + v_beta)
-            total -= math.lgamma(node_total + doc_total + v_beta)
-            for w, c in counts.items():
-                existing = node_words.get(w, 0.0)
-                total += math.lgamma(existing + c + beta) - math.lgamma(existing + beta)
-        return total
+        lgamma, log = math.lgamma, math.log
+        # A level adds lgamma(node total + Vβ), minus lgamma(node total +
+        # document total + Vβ), then one term per word of ``level_counts``.
+        doc_totals = [
+            sum(counts.values())  # repro: allow[RPR002] -- integer token counts: addition is exact
+            for counts in level_counts
+        ]
+        empty_beta = lgamma(0.0 + beta)
+        empty_terms = [
+            [lgamma(0.0 + v_beta), -lgamma(0.0 + n + v_beta)]
+            + [lgamma(0.0 + c + beta) - empty_beta for c in counts.values()]
+            if counts else []
+            for counts, n in zip(level_counts, doc_totals)
+        ]
+        positions = [
+            {w: (i, c) for i, (w, c) in enumerate(counts.items(), 2)} for counts in level_counts
+        ]
+        fresh_tails = [sum(empty_terms[level:], []) for level in range(self.levels + 1)]
+        nodes: list[_Node] = []
+        scores: list[float] = []
+
+        def walk(node: _Node, level: int, log_prior: float, total: float) -> None:
+            if doc_totals[level]:
+                node_total, node_words = node.total_count, node.word_counts
+                terms = empty_terms[level].copy()
+                terms[0] = lgamma(node_total + v_beta)
+                terms[1] = -lgamma(node_total + doc_totals[level] + v_beta)
+                where = positions[level]
+                for w in where.keys() & node_words.keys():
+                    i, c = where[w]
+                    existing = node_words[w]
+                    terms[i] = lgamma(existing + c + beta) - lgamma(existing + beta)
+                # Added one at a time, in order, as a running total.
+                total = reduce(add, terms, total)
+            if level < last:
+                children, new = self._branch_weights(node)
+                for child, weight in zip(node.children, children):
+                    walk(child, level + 1, log_prior + log(weight), total)
+                log_prior += log(new)
+                total = reduce(add, fresh_tails[level + 1], total)
+            nodes.append(node)
+            scores.append(log_prior + total)
+
+        walk(self._root, 0, 0.0, 0.0)
+        # Break the closure's reference to itself: this call's lists are then
+        # freed on return instead of waiting for the cycle collector.
+        del walk
+        return nodes, scores
 
     # -- training -------------------------------------------------------------
 
     def _train(self, docs: list[list[int]], raw_docs: list[Sequence[str]]) -> None:
         vocab_size = len(self.vocabulary)
         rng = self._rng
+        v_beta = vocab_size * self.beta
 
         self._n_nodes = 0
         self._root = self._new_node(0, None)
 
         paths: list[list[_Node]] = []
-        levels: list[np.ndarray] = []
+        levels: list[list[int]] = []
 
         # Initialisation: every document walks the nCRP and gets random levels.
         for doc in docs:
             path = self._sample_initial_path(rng)
-            z = rng.integers(self.levels, size=len(doc))
+            z = rng.integers(self.levels, size=len(doc)).tolist()
             paths.append(path)
             levels.append(z)
             for node in path:
@@ -207,46 +243,24 @@ class HldaModel(TopicModel):
                     continue
                 path, z = paths[d], levels[d]
                 level_counts = self._level_counts(doc, z)
+                # The path draw's uniform, then one per token: no other
+                # draw comes between them.
+                uniforms = rng.random(len(doc) + 1).tolist()
 
                 # 1. resample the path
                 self._remove_doc_counts(path, level_counts)
                 for node in path:
                     node.n_docs -= 1
-                log_scores: list[float] = []
-                candidates: list[list[_Node | None]] = []
-                for cand, log_prior in self._candidate_paths(allow_new=True):
-                    candidates.append(cand)
-                    log_scores.append(
-                        log_prior + self._path_log_likelihood(cand, level_counts, vocab_size)
-                    )
+                nodes, log_scores = self._path_scores(level_counts, vocab_size)
                 scores = np.exp(np.array(log_scores) - max(log_scores))
-                chosen = candidates[sample_index(scores, rng)]
-                path = self._materialise(chosen)
+                path = self._materialise(nodes[draw_index(scores, uniforms[0], self.name)])
                 paths[d] = path
                 for node in path:
                     node.n_docs += 1
                 self._add_doc_counts_from_levels(path, level_counts)
 
                 # 2. resample the levels
-                n_dl = np.zeros(self.levels)
-                for level in z:
-                    n_dl[level] += 1
-                v_beta = vocab_size * self.beta
-                for i, w in enumerate(doc):
-                    level = z[i]
-                    n_dl[level] -= 1
-                    path[level].remove_words({w: 1})
-                    weights = np.empty(self.levels)
-                    for l in range(self.levels):
-                        node = path[l]
-                        weights[l] = (n_dl[l] + self.alpha) * (
-                            (node.word_counts.get(w, 0.0) + self.beta)
-                            / (node.total_count + v_beta)
-                        )
-                    level = sample_index(weights, rng)
-                    z[i] = level
-                    n_dl[level] += 1
-                    path[level].add_words({w: 1})
+                self._resample_levels(doc, z, path, uniforms[1:], v_beta)
 
             self._prune_empty()
             notify_iteration(
@@ -254,6 +268,54 @@ class HldaModel(TopicModel):
             )
 
         self._freeze(vocab_size)
+
+    def _resample_levels(
+        self, doc: list[int], z: list[int], path: list[_Node], uniforms: list[float],
+        v_beta: float,
+    ) -> None:
+        """Gibbs-resample each token's level on ``path``, token ``i`` drawing
+        with ``uniforms[i]`` by :func:`gibbs.draw_index`'s inverse CDF."""
+        alpha, beta, n_levels = self.alpha, self.beta, self.levels
+        last, inf = n_levels - 1, math.inf
+        n_dl = [0] * n_levels
+        for level in z:
+            n_dl[level] += 1
+        words = [node.word_counts for node in path]
+        totals = [node.total_count for node in path]
+        for i, (w, uniform) in enumerate(zip(doc, uniforms)):
+            level = z[i]
+            n_dl[level] -= 1
+            counts = words[level]
+            remaining = counts.get(w, 0.0) - 1
+            if remaining <= 1e-9:
+                counts.pop(w, None)
+            else:
+                counts[w] = remaining
+            remaining = totals[level] - 1
+            totals[level] = 0.0 if remaining < 0 else remaining
+            weights = []
+            cdf = []
+            total = 0.0
+            for n, node_words, node_total in zip(n_dl, words, totals):
+                weight = (n + alpha) * ((node_words.get(w, 0.0) + beta) / (node_total + v_beta))
+                weights.append(weight)
+                total += weight
+                cdf.append(total)
+            if n_levels >= 8:
+                # numpy's pairwise total is a left-to-right sum only below 8 terms.
+                total = float(np.add.reduce(weights))
+            if not 0.0 < total < inf:
+                raise SamplingWeightsError(
+                    f"{self.name} level weights must have a finite, positive total"
+                )
+            level = bisect_left(cdf, uniform * total, 0, last)
+            z[i] = level
+            n_dl[level] += 1
+            counts = words[level]
+            counts[w] = counts.get(w, 0.0) + 1
+            totals[level] += 1
+        for node, total in zip(path, totals):
+            node.total_count = total
 
     def _sample_initial_path(self, rng: np.random.Generator) -> list[_Node]:
         assert self._root is not None
@@ -271,14 +333,14 @@ class HldaModel(TopicModel):
             path.append(node)
         return path
 
-    def _level_counts(self, doc: list[int], z: np.ndarray) -> list[dict[int, int]]:
+    def _level_counts(self, doc: list[int], z: Sequence[int]) -> list[dict[int, int]]:
         counts: list[dict[int, int]] = [dict() for _ in range(self.levels)]
         for w, level in zip(doc, z):
             bucket = counts[level]
             bucket[w] = bucket.get(w, 0) + 1
         return counts
 
-    def _add_doc_counts(self, path: list[_Node], doc: list[int], z: np.ndarray) -> None:
+    def _add_doc_counts(self, path: list[_Node], doc: list[int], z: Sequence[int]) -> None:
         self._add_doc_counts_from_levels(path, self._level_counts(doc, z))
 
     def _add_doc_counts_from_levels(
@@ -295,14 +357,17 @@ class HldaModel(TopicModel):
             if counts:
                 path[level].remove_words(counts)
 
-    def _materialise(self, path: list[_Node | None]) -> list[_Node]:
-        """Replace ``None`` placeholders with freshly created nodes."""
-        real: list[_Node] = []
-        for level, node in enumerate(path):
-            if node is None:
-                node = self._new_node(level, real[-1])
-            real.append(node)
-        return real
+    def _materialise(self, node: _Node) -> list[_Node]:
+        """The path through ``node``, extended by new nodes down to the last level."""
+        path: list[_Node] = []
+        ancestor: _Node | None = node
+        while ancestor is not None:
+            path.append(ancestor)
+            ancestor = ancestor.parent
+        path.reverse()
+        for level in range(len(path), self.levels):
+            path.append(self._new_node(level, path[-1]))
+        return path
 
     def _prune_empty(self) -> None:
         """Drop leaf branches that no document passes through any more."""
@@ -364,17 +429,15 @@ class HldaModel(TopicModel):
 
         # Pick the path with the highest likelihood under a uniform level mix,
         # then estimate the level distribution by fold-in Gibbs on that path.
-        word_ids = np.array(doc)
-        best_path: list[int] | None = None
-        best_score = -np.inf
-        for path in self._paths_matrix:
-            level_phi = phi[path][:, word_ids]  # L x N
-            score = float(np.log(level_phi.mean(axis=0) + 1e-12).sum())
-            if score > best_score:
-                best_score = score
-                best_path = path
-        assert best_path is not None
-        return _PathFoldIn(phi[best_path][:, doc].T, self.alpha, best_path)
+        # One gather gives every path's P x N x L weights; with a path's
+        # levels innermost, the level mean and the sum over words reduce in
+        # the same order as for one path's (levels x words) gather, and
+        # argmax keeps the first of equal scores.
+        paths = np.array(self._paths_matrix)
+        level_phi = phi[paths[:, None, :], np.array(doc)[None, :, None]]
+        scores = np.log(level_phi.mean(axis=2) + 1e-12).sum(axis=1)
+        best = int(np.argmax(scores))
+        return _PathFoldIn(level_phi[best], self.alpha, self._paths_matrix[best])
 
     def _theta(self, fold: FoldIn, counts: np.ndarray) -> np.ndarray:
         assert isinstance(fold, _PathFoldIn)

@@ -20,7 +20,9 @@ more. Stop-word removal is a separate corpus-level concern handled by
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from repro.errors import ValidationError
 
@@ -45,7 +47,18 @@ TOKEN_PATTERN = re.compile(
     r"|(?:\?)"                         # question mark (an LLDA label)
 )
 
-_REPEAT_RUN = re.compile(r"(\w)\1{2,}", re.UNICODE)
+
+@cache
+def _run_squeezer(max_run: int) -> Callable[[str], str]:
+    """The function capping runs of one character at ``max_run``.
+
+    The replacement is a function rather than a ``\\1`` template, which
+    ``re`` would expand afresh on every call.
+    """
+    if max_run < 1:
+        raise ValidationError(f"max_run must be >= 1, got {max_run}")
+    pattern = re.compile(r"(\w)\1{%d,}" % max_run)
+    return partial(pattern.sub, lambda run: run.group(1) * max_run)
 
 
 def squeeze_repeats(token: str, max_run: int = 2) -> str:
@@ -56,9 +69,7 @@ def squeeze_repeats(token: str, max_run: int = 2) -> str:
     >>> squeeze_repeats("good")
     'good'
     """
-    if max_run < 1:
-        raise ValidationError(f"max_run must be >= 1, got {max_run}")
-    return re.sub(r"(\w)\1{%d,}" % max_run, r"\1" * max_run, token)
+    return _run_squeezer(max_run)(token)
 
 
 @dataclass(frozen=True)
@@ -91,11 +102,9 @@ class TweetTokenizer:
         if self.lowercase:
             text = text.lower()
         tokens = self._pattern.findall(text)
-        if self.squeeze:
-            tokens = [
-                tok if _is_special(tok) else squeeze_repeats(tok, self.max_run)
-                for tok in tokens
-            ]
+        if self.squeeze and tokens:
+            squeeze = _run_squeezer(self.max_run)
+            tokens = [tok if _is_special(tok) else squeeze(tok) for tok in tokens]
         return tokens
 
     def __call__(self, text: str) -> list[str]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.text.tokenizer import EMOTICONS, TweetTokenizer, squeeze_repeats
+from repro.text.tokenizer import EMOTICONS, TweetTokenizer, _is_special, squeeze_repeats
 
 
 @pytest.fixture()
@@ -98,6 +100,27 @@ class TestSqueezeRepeatsFunction:
     def test_invalid_max_run(self):
         with pytest.raises(ValueError):
             squeeze_repeats("abc", max_run=0)
+
+    @pytest.mark.parametrize("max_run", [1, 2, 3, 4])
+    def test_matches_the_uncompiled_pattern(self, max_run):
+        # squeeze_repeats used to run re.sub with a pattern string and a
+        # backslash template; the cached squeezer must agree with it.
+        def uncompiled(token: str) -> str:
+            return re.sub(r"(\w)\1{%d,}" % max_run, r"\1" * max_run, token)
+
+        tokens = [
+            "yeeeees", "gooood", "ééééé", "ßßßßtraße", "日日日日本", "ддддаааа", "1111122",
+            "2019", "a___b", "__init__", "x1__11__1", "aAaAaaa", "", "a", "aa", "aaa",
+            ":)", ":-)))", "^_^", "xddd", "<3", "heyyy!!!", "#sooo", "@zzzz",
+        ]
+        for token in tokens:
+            assert squeeze_repeats(token, max_run) == uncompiled(token)
+        text = " ".join(tokens)
+        expected = [
+            tok if _is_special(tok) else uncompiled(tok)
+            for tok in TweetTokenizer(squeeze=False).tokenize(text)
+        ]
+        assert TweetTokenizer(max_run=max_run).tokenize(text) == expected
 
     @given(st.text(alphabet="abc", max_size=30), st.integers(1, 3))
     def test_never_longer_and_no_long_runs(self, text, max_run):

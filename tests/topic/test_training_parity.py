@@ -1,7 +1,9 @@
 """Training parity: the count-table samplers against the per-token loops.
 
 The references below are the ``_train`` methods of LDA, LLDA, BTM and
-HDP as they were before training kept its smoothed factors current:
+HDP as they were before training kept its smoothed factors current, and
+HLDA's ``_train`` and ``_infer`` as they were before path scoring became
+one tree walk:
 every token rebuilt its whole conditional from the raw count tables
 (topic-major) and drew its uniform from the model's generator as it
 went. The rewritten samplers store the counts word-major, update only
@@ -14,17 +16,21 @@ self-biterms), biterm subsampling, and NP and UP pooling.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SamplingWeightsError
 from repro.models.base import TextDoc
 from repro.models.topic.btm import Biterm, BitermTopicModel, extract_biterms
 from repro.models.topic.gibbs import notify_iteration, sample_crp_tables, sample_index
 from repro.models.topic.hdp import HdpModel
+from repro.models.topic.hlda import HldaModel, _Node, _PathFoldIn
 from repro.models.topic.labels import LabelExtractor
 from repro.models.topic.lda import LdaModel
 from repro.models.topic.llda import LabeledLdaModel
@@ -269,6 +275,144 @@ class ReferenceHdp(HdpModel):
         self._beta_weights = weights / weights.sum()
 
 
+class ReferenceHlda(HldaModel):
+    """HLDA scoring each candidate path on its own and drawing as it goes."""
+
+    def _candidate_paths(self) -> Iterator[tuple[list[_Node | None], float]]:
+        def walk(node: _Node, level: int, log_prior: float, prefix: list[_Node | None]):
+            if level == self.levels - 1:
+                yield prefix + [], log_prior
+                return
+            denom = node.n_docs - 1 + self.gamma
+            if denom <= 0:
+                denom = self.gamma
+            for child in node.children:
+                weight = child.n_docs / denom if child.n_docs > 0 else self.gamma / denom
+                if weight <= 0:
+                    continue
+                yield from walk(
+                    child, level + 1, log_prior + math.log(weight), prefix + [child]
+                )
+            new_tail: list[_Node | None] = [None] * (self.levels - 1 - level)
+            yield prefix + new_tail, log_prior + math.log(self.gamma / denom)
+
+        yield from walk(self._root, 0, 0.0, [self._root])
+
+    def _path_log_likelihood(
+        self, path: Sequence[_Node | None], level_counts: list[dict[int, int]], vocab_size: int
+    ) -> float:
+        beta = self.beta
+        v_beta = vocab_size * beta
+        total = 0.0
+        for level, counts in enumerate(level_counts):
+            if not counts:
+                continue
+            node = path[level]
+            node_total = node.total_count if node is not None else 0.0
+            node_words = node.word_counts if node is not None else {}
+            doc_total = sum(counts.values())  # repro: allow[RPR002] -- integer token counts: addition is exact
+            total += math.lgamma(node_total + v_beta)
+            total -= math.lgamma(node_total + doc_total + v_beta)
+            for w, c in counts.items():
+                existing = node_words.get(w, 0.0)
+                total += math.lgamma(existing + c + beta) - math.lgamma(existing + beta)
+        return total
+
+    def _materialise(self, path: list[_Node | None]) -> list[_Node]:
+        real: list[_Node] = []
+        for level, node in enumerate(path):
+            if node is None:
+                node = self._new_node(level, real[-1])
+            real.append(node)
+        return real
+
+    def _train(self, docs: list[list[int]], raw_docs: list[Sequence[str]]) -> None:
+        vocab_size = len(self.vocabulary)
+        rng = self._rng
+
+        self._n_nodes = 0
+        self._root = self._new_node(0, None)
+
+        paths: list[list[_Node]] = []
+        levels: list[np.ndarray] = []
+        for doc in docs:
+            path = self._sample_initial_path(rng)
+            z = rng.integers(self.levels, size=len(doc))
+            paths.append(path)
+            levels.append(z)
+            for node in path:
+                node.n_docs += 1
+            self._add_doc_counts(path, doc, z)
+
+        for iteration in range(self.iterations):
+            for d, doc in enumerate(docs):
+                if not doc:
+                    continue
+                path, z = paths[d], levels[d]
+                level_counts = self._level_counts(doc, z)
+
+                self._remove_doc_counts(path, level_counts)
+                for node in path:
+                    node.n_docs -= 1
+                log_scores: list[float] = []
+                candidates: list[list[_Node | None]] = []
+                for cand, log_prior in self._candidate_paths():
+                    candidates.append(cand)
+                    log_scores.append(
+                        log_prior + self._path_log_likelihood(cand, level_counts, vocab_size)
+                    )
+                scores = np.exp(np.array(log_scores) - max(log_scores))
+                chosen = candidates[sample_index(scores, rng)]
+                path = self._materialise(chosen)
+                paths[d] = path
+                for node in path:
+                    node.n_docs += 1
+                self._add_doc_counts_from_levels(path, level_counts)
+
+                n_dl = np.zeros(self.levels)
+                for level in z:
+                    n_dl[level] += 1
+                v_beta = vocab_size * self.beta
+                for i, w in enumerate(doc):
+                    level = z[i]
+                    n_dl[level] -= 1
+                    path[level].remove_words({w: 1})
+                    weights = np.empty(self.levels)
+                    for l in range(self.levels):
+                        node = path[l]
+                        weights[l] = (n_dl[l] + self.alpha) * (
+                            (node.word_counts.get(w, 0.0) + self.beta)
+                            / (node.total_count + v_beta)
+                        )
+                    level = sample_index(weights, rng)
+                    z[i] = level
+                    n_dl[level] += 1
+                    path[level].add_words({w: 1})
+
+            self._prune_empty()
+            notify_iteration(
+                self.iteration_hook, self.name, iteration + 1, self.iterations
+            )
+
+        self._freeze(vocab_size)
+
+    def _infer(self, doc: list[int]):
+        if not doc or not self._paths_matrix:
+            return self._uniform_theta()
+        phi = self._node_phi
+        word_ids = np.array(doc)
+        best_path: list[int] | None = None
+        best_score = -np.inf
+        for path in self._paths_matrix:
+            level_phi = phi[path][:, word_ids]
+            score = float(np.log(level_phi.mean(axis=0) + 1e-12).sum())
+            if score > best_score:
+                best_score = score
+                best_path = path
+        assert best_path is not None
+        return _PathFoldIn(phi[best_path][:, doc].T, self.alpha, best_path)
+
+
 # -- parity ---------------------------------------------------------------------
 
 corpora = st.lists(
@@ -382,3 +526,211 @@ def test_log_likelihood_hook_sees_the_same_sweeps(cls):
         ).fit(docs)
         seen.append(records)
     assert seen[0] == seen[1]
+
+
+HELD_OUT = [
+    ["star", "moon"],
+    ["orbit"],
+    [],
+    WORDS,
+    ["bread", "oven", "yeast", "bread", "stock", "bank", "rain", "wind", "#food"],
+    ["unseen", "words", "only"],
+]
+
+
+def fit_hlda_pair(corpus, seed, **params):
+    docs = [TextDoc.from_tokens(tokens) for tokens in corpus]
+    return [
+        model_cls(seed=seed, pooling="NP", infer_iterations=3, **params).fit(docs)
+        for model_cls in (ReferenceHlda, HldaModel)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=corpora,
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.integers(1, 5),
+    alpha=st.sampled_from([0.5, 10.0, 20.0]),
+    beta=st.sampled_from([0.01, 0.1, 0.5]),
+    gamma=st.sampled_from([0.5, 1.0, 5.0]),
+    iterations=st.integers(2, 4),
+)
+@example(corpus=[WORDS, WORDS[::-1], ["star", "moon"] * 5, ["rain"]], seed=6, levels=9,
+         alpha=0.5, beta=0.1, gamma=5.0, iterations=3)
+def test_hlda_matches_reference(corpus, seed, levels, alpha, beta, gamma, iterations):
+    reference, model = fit_hlda_pair(
+        corpus, seed, levels=levels, alpha=alpha, beta=beta, gamma=gamma,
+        iterations=iterations,
+    )
+    assert np.array_equal(model._node_phi, reference._node_phi)
+    assert model._paths_matrix == reference._paths_matrix
+    assert model._rng.bit_generator.state == reference._rng.bit_generator.state
+    held_out = [TextDoc.from_tokens(tokens) for tokens in HELD_OUT]
+    for got, want in zip(model.represent_many(held_out), reference.represent_many(held_out)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus=corpora,
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.integers(1, 5),
+    gamma=st.sampled_from([0.5, 5.0]),
+    held_out=st.lists(st.sampled_from(WORDS), min_size=1, max_size=20),
+)
+def test_hlda_path_scores_match_reference(corpus, seed, levels, gamma, held_out):
+    # The walk must give every candidate's score exactly -- not merely
+    # scores close enough to draw the same paths -- in candidate order.
+    docs = [TextDoc.from_tokens(tokens) for tokens in corpus]
+    model = ReferenceHlda(levels=levels, gamma=gamma, iterations=2, seed=seed,
+                          pooling="NP").fit(docs)
+    # Take one document off a leaf path, as path resampling does, so some
+    # nodes may hold no documents.
+    node = model._root
+    while True:
+        node.n_docs -= 1
+        if not node.children:
+            break
+        node = node.children[0]
+    doc = model.vocabulary.encode(held_out)
+    z = np.random.default_rng(seed).integers(levels, size=len(doc))
+    level_counts = model._level_counts(doc, z)
+    vocab_size = len(model.vocabulary)
+
+    nodes, scores = HldaModel._path_scores(model, level_counts, vocab_size)
+    candidates = list(model._candidate_paths())
+    assert scores == [
+        log_prior + model._path_log_likelihood(path, level_counts, vocab_size)
+        for path, log_prior in candidates
+    ]
+    deepest = [[n for n in path if n is not None][-1] for path, _ in candidates]
+    assert len(nodes) == len(deepest)
+    assert all(got is want for got, want in zip(nodes, deepest))
+
+
+def test_hlda_level_draw_totals_like_numpy_from_eight_levels():
+    # numpy's pairwise total departs from a left-to-right sum from eight
+    # weights on. Find weights where the two totals differ and a uniform
+    # whose draw depends on which one is used: the level draw must pick
+    # what the reference's sample_index picks.
+    levels, alpha, beta, v_beta = 9, 1.0, 0.1, 0.2
+    model = HldaModel(levels=levels, alpha=alpha, beta=beta)
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        # Word 0's count per level once the token is taken off level 0,
+        # and the other words' counts.
+        counts = rng.integers(0, 50, size=levels)
+        others = rng.integers(1, 500, size=levels)
+        totals = counts + others
+        weights = alpha * ((counts + beta) / (totals + v_beta))
+        pairwise = float(np.add.reduce(weights))
+        sequential = 0.0
+        for weight in weights:
+            sequential += weight
+        if sequential == pairwise:
+            continue
+        cdf = np.add.accumulate(weights[:-1]).tolist()
+        uniforms = [
+            u
+            for target in cdf
+            for u in np.nextafter(target / pairwise, [0.0, 1.0]).tolist() + [target / pairwise]
+            if bisect_left(cdf, u * pairwise) != bisect_left(cdf, u * sequential)
+        ]
+        if uniforms:
+            break
+    else:
+        pytest.fail("no weights tell the two totals apart")
+
+    for uniform in uniforms:
+        path = [_Node(node_id=level, level=level, parent=None) for level in range(levels)]
+        for level, node in enumerate(path):
+            node.add_words({0: int(counts[level]) + (level == 0), 1: int(others[level])})
+        z = [0]
+        model._resample_levels([0], z, path, [uniform], v_beta)
+        assert z == [bisect_left(cdf, uniform * pairwise)]
+
+
+def live_nodes(node: _Node) -> int:
+    return 1 + sum(live_nodes(child) for child in node.children)
+
+
+def test_hlda_prunes_and_rebranches():
+    # A large gamma on a varied corpus opens and abandons branches every
+    # sweep; the walk must follow the tree through both.
+    corpus = [WORDS[i:i + 4] * 2 for i in range(0, 12, 2)] + [WORDS, ["star", "?"]]
+    docs = [TextDoc.from_tokens(tokens) for tokens in corpus]
+    fits = []
+    for model_cls in (ReferenceHlda, HldaModel):
+        model = model_cls(levels=3, gamma=5.0, iterations=6, seed=11, pooling="NP")
+        trace = []
+        model.set_iteration_hook(
+            lambda it, model=model, trace=trace: trace.append(
+                (model._n_nodes, live_nodes(model._root))
+            )
+        )
+        fits.append((model.fit(docs), trace))
+    (reference, reference_trace), (model, trace) = fits
+    assert trace == reference_trace
+    created = [n for n, _ in trace]
+    assert created[-1] > created[0]  # new branches after the first sweep
+    assert any(live < n for n, live in trace)  # and pruned ones
+    assert np.array_equal(model._node_phi, reference._node_phi)
+    assert model._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("order", [[[0, 1], [0, 2]], [[0, 2], [0, 1]]])
+def test_hlda_infer_keeps_the_first_of_equal_paths(order):
+    model = HldaModel(levels=2)
+    model._node_phi = np.full((3, 4), 0.25)
+    model._paths_matrix = order
+    model._n_nodes = 3
+    for cls in (HldaModel, ReferenceHlda):
+        assert cls._infer(model, [0, 3, 3]).path == order[0]
+
+
+def nan_word_counts(node: _Node, vocab_size: int) -> None:
+    for w in range(vocab_size):
+        node.word_counts[w] = math.nan
+
+
+def test_hlda_path_draw_rejects_nan_scores(monkeypatch):
+    # NaN word counts at the root make every candidate's log score NaN.
+    model = HldaModel(levels=1, iterations=2, seed=0, pooling="NP")
+    sample_initial_path = model._sample_initial_path
+
+    def poisoned(rng):
+        path = sample_initial_path(rng)
+        nan_word_counts(path[0], len(model.vocabulary))
+        return path
+
+    monkeypatch.setattr(model, "_sample_initial_path", poisoned)
+    with pytest.raises(SamplingWeightsError, match="HLDA training weights"):
+        model.fit([TextDoc.from_tokens(("star", "moon", "star"))])
+
+
+def test_hlda_level_draw_rejects_nan_weights(monkeypatch):
+    # Poisoned after the path draw, the root's NaN counts reach only the
+    # level weights.
+    model = HldaModel(levels=3, iterations=1, seed=0, pooling="NP")
+    materialise = model._materialise
+
+    def poisoned(node):
+        path = materialise(node)
+        nan_word_counts(path[0], len(model.vocabulary))
+        return path
+
+    monkeypatch.setattr(model, "_materialise", poisoned)
+    with pytest.raises(SamplingWeightsError, match="HLDA level weights"):
+        model.fit([TextDoc.from_tokens(("star", "moon", "star"))])
+
+
+@pytest.mark.xfail(strict=True, reason="nCRP denominator subtracts the resampled "
+                   "document twice (ROADMAP item 3)")
+def test_hlda_branch_weights_sum_to_one():
+    corpus = [TextDoc.from_tokens(tuple(WORDS[i:i + 5])) for i in range(0, 12, 2)]
+    model = HldaModel(levels=3, iterations=4, seed=2, pooling="NP", gamma=1.0).fit(corpus)
+    internal = [model._root] + [c for c in model._root.children if c.children]
+    for node in internal:
+        children, new = model._branch_weights(node)
+        assert math.isclose(math.fsum(children) + new, 1.0)
