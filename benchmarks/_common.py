@@ -30,7 +30,8 @@ from functools import lru_cache
 from pathlib import Path
 
 from repro.core.pipeline import ExperimentPipeline
-from repro.core.sources import ALL_SOURCES, RepresentationSource
+from repro.core.sources import ALL_SOURCES
+from repro.errors import ConfigurationError
 from repro.experiments.configs import ConfigGrid, ModelConfig
 from repro.experiments.executors import (
     GridSpec,
@@ -93,16 +94,24 @@ def bench_jobs() -> int:
 
 
 def bench_trials() -> int:
-    """Pedantic rounds for the figure benches.
+    """Pedantic rounds for the figure benches, from ``REPRO_BENCH_TRIALS``.
 
-    Honours the same ``REPRO_BENCH_TRIALS`` knob as ``repro bench run``
-    but defaults to 1: the figure sweeps are cached per session, so
-    extra rounds only re-time the (cheap) cache path unless the cache
-    is cleared between rounds.
+    Defaults to 1: the figure sweeps are cached per pytest run, so extra
+    rounds only re-time the (cheap) cache path unless the cache is
+    cleared between rounds.
     """
-    from repro.experiments.bench import default_trials
-
-    return default_trials(fallback=1)
+    raw = os.environ.get("REPRO_BENCH_TRIALS")
+    if raw is None:
+        return 1
+    try:
+        trials = int(raw)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"REPRO_BENCH_TRIALS must be an integer, got {raw!r}"
+        ) from exc
+    if trials < 1:
+        raise ConfigurationError(f"REPRO_BENCH_TRIALS must be >= 1, got {trials}")
+    return trials
 
 
 def _bench_executor(grid: ConfigGrid) -> ProcessCellExecutor | None:
@@ -289,49 +298,6 @@ def write_result(name: str, text: str) -> Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
-    return path
-
-
-def write_timing_baseline(name: str, result: SweepResult) -> Path:
-    """Persist a sweep's timing rows as ``results/BENCH_<name>.json``.
-
-    The machine-readable companion to :func:`write_result`'s text
-    tables: each ALL-group row contributes one sample per (model,
-    source) cell -- ``ttime``/``etime`` from the row's training and
-    testing clocks plus one entry per recorded pipeline phase -- so the
-    baseline's median/IQR captures the spread *across configurations*
-    of the same model. The file uses the ``repro bench`` baseline
-    schema, so ``repro bench compare`` can diff two figure runs
-    directly.
-    """
-    from repro.obs import Baseline, SampleStats, baseline_path
-
-    by_cell: dict[str, dict[str, list[float]]] = {}
-    for row in result.rows:
-        if row.group is not UserType.ALL:
-            continue
-        cell = by_cell.setdefault(f"{row.model}/{row.source.value}", {})
-        cell.setdefault("ttime", []).append(row.training_seconds)
-        cell.setdefault("etime", []).append(row.testing_seconds)
-        for phase, seconds in row.phase_seconds.items():
-            cell.setdefault(phase, []).append(seconds)
-
-    phases = {
-        f"{prefix}/{phase}": {"wall_seconds": SampleStats.from_samples(values)}
-        for prefix, cell in sorted(by_cell.items())
-        for phase, values in sorted(cell.items())
-    }
-    scale = os.environ.get("REPRO_BENCH_SCALE", "quick")
-    baseline = Baseline(
-        label=name,
-        phases=phases,
-        counters={"rows": float(len(result.rows))},
-        manifest=result.manifest,
-        config={"source": "figure-sweep", "scale": scale, "group": UserType.ALL.value},
-    )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = baseline.save(baseline_path(RESULTS_DIR, name))
-    print(f"[timing baseline written to {path}]")
     return path
 
 

@@ -9,7 +9,6 @@ from benchmarks._common import (
     figure_baselines,
     figure_sweep,
     write_result,
-    write_timing_baseline,
 )
 from repro.experiments.report import format_figure_map
 from repro.twitter.entities import UserType
@@ -25,7 +24,6 @@ def run_figure_bench(benchmark, group: UserType, name: str, title: str) -> None:
         result, group, FIGURE_SOURCE_LIST, baselines=baselines, title=title
     )
     write_result(name, text)
-    write_timing_baseline(name, result)
 
     rows = result.filtered(group=group)
     if not rows:  # tiny corpora may leave a group empty (e.g. no IP users)

@@ -15,7 +15,6 @@ from benchmarks._common import (
     bench_trials,
     figure_sweep,
     write_result,
-    write_timing_baseline,
 )
 from repro.experiments.report import format_figure7
 
@@ -25,7 +24,6 @@ def test_fig7_time_efficiency(benchmark):
     result = benchmark.pedantic(figure_sweep, rounds=bench_trials(), iterations=1)
     text = format_figure7(result)
     write_result("fig7_efficiency", text)
-    write_timing_baseline("fig7_efficiency", result)
 
     tn_ttime, _ = result.timing_summary("TN")
     lda_ttime, _ = result.timing_summary("LDA")

@@ -1,14 +1,13 @@
 """RPR007: resource samplers are started via ``with``.
 
 A :class:`~repro.obs.resources.ResourceSampler` owns a background
-sampling thread (and possibly a process-global tracemalloc session);
-``__enter__`` starts it and ``__exit__`` joins it. Constructing one
-outside a ``with`` statement (or an ``ExitStack.enter_context`` call)
-risks a sampler that never stops: the thread keeps folding RSS readings
-into dead watches after the measured run is over, and a leaked
-tracemalloc session slows the whole process -- silently corrupting the
-very measurements the sampler exists to make trustworthy. Mirrors
-RPR005 (span-hygiene) for the resource dimension.
+sampling thread; ``__enter__`` starts it and ``__exit__`` joins it.
+Constructing one outside a ``with`` statement (or an
+``ExitStack.enter_context`` call) risks a sampler that never stops: the
+thread keeps waking to fold RSS readings into dead watches after the
+measured run is over, taking GIL time from the code that follows --
+silently skewing the very measurements the sampler exists to make
+trustworthy. Mirrors RPR005 (span-hygiene) for the resource dimension.
 """
 
 from __future__ import annotations

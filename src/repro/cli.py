@@ -10,8 +10,7 @@ Commands
 ``monitor``    live progress view of a running sweep (events file or journal)
 ``export``     convert saved telemetry: chrome-trace JSON, Prometheus
                metrics, flamegraph formats (collapsed stacks, speedscope)
-``bench``      run the calibrated resource suite / compare two baselines
-``profile``    statistical stack profiling: wrap sweep/bench/replay/evaluate
+``profile``    statistical stack profiling: wrap sweep/replay/evaluate
                under a sampler, or diff two saved profiles
 ``report``     render a saved sweep as the paper's figures/tables
 ``suggest``    followee / hashtag recommendations (the extension tasks)
@@ -48,12 +47,6 @@ shape the retry policy, and cells that exhaust their attempts are
 plan.json`` (or the ``REPRO_FAULT_PLAN`` variable) arms deterministic
 fault injection for testing those paths; see ``repro.faults``.
 
-``bench run`` executes the calibrated suite (one bag, one graph, one
-topic model across three sources) with warmup and repeated trials and
-writes a timestamp-free ``BENCH_<label>.json`` baseline; ``bench
-compare OLD NEW [--gate]`` flags noise-adjusted regressions between two
-baselines.
-
 Examples
 --------
 ::
@@ -69,10 +62,8 @@ Examples
     python -m repro export trace --trace trace.json --out trace.chrome.json
     python -m repro export metrics --trace trace.json
     python -m repro report --artifact critical-path --trace trace.json
-    python -m repro bench run --label main --scale quick --trials 5
-    python -m repro bench compare results/BENCH_main.json results/BENCH_pr.json --gate
     python -m repro profile -- sweep --out sweep.json --fast --jobs 2
-    python -m repro profile --hz 251 -- bench run --scale tiny --label pr
+    python -m repro profile --hz 251 --out pr.json -- evaluate --model LDA
     python -m repro profile diff before.json after.json
     python -m repro export profile --profile profile.json --format speedscope
     python -m repro report --artifact hotspots --profile profile.json --top 10
@@ -98,12 +89,6 @@ from repro.core.sources import ALL_SOURCES, RepresentationSource
 from repro.core.temporal import TemporalWeighting
 from repro.errors import ConfigurationError, PersistenceError
 from repro.eval.metrics import map_over_users
-from repro.experiments.bench import (
-    BENCH_MODELS,
-    SUITE_SCALES,
-    run_bench_suite,
-    run_incremental_suite,
-)
 from repro.experiments.configs import MODEL_NAMES, ConfigGrid, ModelConfig, cross_temporal
 from repro.experiments.executors import (
     GridSpec,
@@ -113,7 +98,7 @@ from repro.experiments.executors import (
     SweepSpec,
 )
 from repro.experiments.persistence import SweepJournal, load_sweep, save_sweep
-from repro.experiments.replay import ReplaySpec, run_replay
+from repro.experiments.replay import REPLAY_MODELS, ReplaySpec, run_replay
 from repro.experiments.supervision import RetryPolicy, SupervisionPolicy
 from repro.faults import FaultPlan
 from repro.experiments.report import (
@@ -133,19 +118,14 @@ from repro.obs import (
     StackSampler,
     Telemetry,
     active_sampler,
-    baseline_path,
     collapsed_stacks,
-    compare_baselines,
-    format_baseline,
     format_chrome_trace,
-    format_comparison,
     format_critical_path,
     format_hotspots,
     format_profile_diff,
     format_resource_breakdown,
     format_snapshot,
     format_timing_breakdown,
-    load_baseline,
     load_profile,
     load_progress,
     load_trace,
@@ -537,10 +517,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
             return 2
         print(format_profile_diff(before, after, top=args.top))
         return 0
-    if rest[0] not in ("sweep", "bench", "replay", "evaluate"):
+    if rest[0] not in ("sweep", "replay", "evaluate"):
         raise SystemExit(
             f"profile: cannot wrap {rest[0]!r}; profileable commands: "
-            "sweep, bench, replay, evaluate (or the 'diff' subcommand)"
+            "sweep, replay, evaluate (or the 'diff' subcommand)"
         )
     with StackSampler(hz=args.hz) as sampler:
         code = main(rest)
@@ -653,59 +633,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             f"replay parity check failed (tolerance {args.tolerance:g})",
             file=sys.stderr,
         )
-        return 1
-    return 0
-
-
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    if args.suite == "incremental":
-        baseline = run_incremental_suite(
-            scale=args.scale,
-            trials=args.trials,
-            warmup=args.warmup,
-            seed=args.seed,
-            label=args.label,
-            source=RepresentationSource(args.source),
-            chunk_size=args.chunk_size,
-        )
-    else:
-        baseline = run_bench_suite(
-            scale=args.scale,
-            trials=args.trials,
-            warmup=args.warmup,
-            jobs=args.jobs,
-            seed=args.seed,
-            label=args.label,
-            trace_allocations=args.trace_allocations,
-        )
-    path = baseline.save(baseline_path(args.out_dir, args.label))
-    print(format_baseline(baseline))
-    print(f"baseline written to {path}")
-    profiling = active_sampler()
-    if profiling is not None:
-        # Running under `repro profile`: drop a profile companion next
-        # to the baseline, so BENCH_<label>.json always has a matching
-        # PROFILE_<label>.json explaining where its time went.
-        companion = Path(path).with_name(f"PROFILE_{args.label}.json")
-        companion.write_text(
-            json.dumps(profiling.snapshot(), indent=1, sort_keys=True) + "\n"
-        )
-        print(f"profile companion written to {companion}")
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    try:
-        old = load_baseline(args.old)
-        new = load_baseline(args.new)
-        comparison = compare_baselines(
-            old, new, rel_threshold=args.rel_threshold, iqr_factor=args.iqr_factor
-        )
-    except PersistenceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(format_comparison(comparison, fmt=args.format))
-    if args.gate and comparison.regressions:
         return 1
     return 0
 
@@ -932,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(p_replay)
     p_replay.add_argument(
-        "--models", nargs="+", default=list(BENCH_MODELS), choices=MODEL_NAMES,
+        "--models", nargs="+", default=list(REPLAY_MODELS), choices=MODEL_NAMES,
         help="models to replay (default: one per family: TN TNG LDA)",
     )
     p_replay.add_argument("--source", default="R",
@@ -1039,66 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_export_profile.set_defaults(func=cmd_export_profile)
 
-    p_bench = sub.add_parser(
-        "bench", help="resource benchmark baselines (run the suite / compare)"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bench_run = bench_sub.add_parser(
-        "run", help="run the calibrated suite, write BENCH_<label>.json"
-    )
-    p_bench_run.add_argument(
-        "--label", default="run",
-        help="baseline label; the file is BENCH_<label>.json (timestamp-free)",
-    )
-    p_bench_run.add_argument("--out-dir", default="results", metavar="DIR")
-    p_bench_run.add_argument(
-        "--scale", default="quick", choices=sorted(SUITE_SCALES)
-    )
-    p_bench_run.add_argument(
-        "--trials", type=int, default=None, metavar="N",
-        help="measured trials (default: REPRO_BENCH_TRIALS, else 3)",
-    )
-    p_bench_run.add_argument("--warmup", type=int, default=1, metavar="N")
-    p_bench_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run cells on N worker processes; worker samplers report "
-             "true per-cell peaks through the telemetry merge",
-    )
-    p_bench_run.add_argument("--seed", type=int, default=7)
-    p_bench_run.add_argument(
-        "--trace-allocations", action="store_true",
-        help="also capture tracemalloc allocation peaks (slow)",
-    )
-    p_bench_run.add_argument(
-        "--suite", choices=["standard", "incremental"], default="standard",
-        help="standard: the staged pipeline suite; incremental: streamed "
-             "profile updates vs batch rebuilds (phases incremental/*)",
-    )
-    p_bench_run.add_argument(
-        "--source", default="R", choices=[s.value for s in ALL_SOURCES],
-        help="(incremental suite) representation source to replay",
-    )
-    p_bench_run.add_argument(
-        "--chunk-size", type=int, default=1, metavar="N",
-        help="(incremental suite) tweets folded per streamed update",
-    )
-    p_bench_run.set_defaults(func=cmd_bench_run)
-    p_bench_compare = bench_sub.add_parser(
-        "compare", help="noise-aware regression check between two baselines"
-    )
-    p_bench_compare.add_argument("old", help="reference BENCH_*.json")
-    p_bench_compare.add_argument("new", help="candidate BENCH_*.json")
-    p_bench_compare.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 when regressions are flagged (2 on schema errors)",
-    )
-    p_bench_compare.add_argument(
-        "--format", choices=["text", "json", "markdown"], default="text"
-    )
-    p_bench_compare.add_argument("--rel-threshold", type=float, default=0.10)
-    p_bench_compare.add_argument("--iqr-factor", type=float, default=1.0)
-    p_bench_compare.set_defaults(func=cmd_bench_compare)
-
     p_report = sub.add_parser("report", help="render a saved sweep or trace")
     p_report.add_argument("--sweep", help="sweep JSON path")
     p_report.add_argument("--trace", help="trace JSON path (*-breakdown artifacts)")
@@ -1176,7 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples:\n"
             "  repro profile -- sweep --out sweep.json --fast --jobs 2\n"
-            "  repro profile --hz 251 --out fit.json -- bench run --scale tiny\n"
+            "  repro profile --hz 251 --out fit.json -- evaluate --model LDA\n"
             "  repro profile diff before.json after.json"
         ),
     )
@@ -1196,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_profile.add_argument(
         "rest", nargs=argparse.REMAINDER,
-        help="after --: the repro command to profile (sweep, bench, replay, "
+        help="after --: the repro command to profile (sweep, replay, "
              "evaluate); or: diff BEFORE.json AFTER.json",
     )
     p_profile.set_defaults(func=cmd_profile)

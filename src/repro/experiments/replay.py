@@ -23,9 +23,9 @@ The driver also measures the cost asymmetry the incremental protocol
 exists for: ``update_seconds`` accumulates the per-chunk fold cost
 (O(chunk) for bag models), ``rebuild_seconds`` the cost of batch
 rebuilds at every boundary (O(prefix) each, O(n^2) overall), and
-``speedup`` is their ratio. The ``repro bench`` incremental suite
-(:func:`repro.experiments.bench.run_incremental_suite`) feeds these
-timings through the same baseline gate as the standard suite.
+``speedup`` is their ratio; ``repro replay`` prints all three per
+model, and perfbench's ``profile_stream`` workload times the same
+single-document updates beside re-ranks.
 
 With ``jobs > 1`` the users of each model are partitioned into
 contiguous chunks and replayed in a process pool; workers rebuild the
@@ -59,6 +59,7 @@ from repro.models.graph import NGramGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
+    "REPLAY_MODELS",
     "ModelReplay",
     "ReplaySpec",
     "UserReplay",
@@ -66,6 +67,9 @@ __all__ = [
     "profile_digest",
     "run_replay",
 ]
+
+#: Default models of ``repro replay``: one per family (bag, graph, topic).
+REPLAY_MODELS = ("TN", "TNG", "LDA")
 
 #: Wall-clock budget for one worker's (model, user chunk) replay task.
 #: Bounds the parent's ``AsyncResult.get`` so a wedged worker surfaces
@@ -79,7 +83,7 @@ class ReplaySpec:
 
     ``models`` name configurations resolved from the fast grid of
     ``grid`` (one representative configuration per model, the same
-    picks the bench suite measures); ``users`` is the candidate user
+    picks ``sweep --fast`` runs); ``users`` is the candidate user
     set (ineligible users are filtered exactly as ``evaluate`` would);
     ``chunk_size`` is the number of tweets folded per incremental
     update (1 = one update per tweet, the finest stream).

@@ -1,6 +1,6 @@
 """repro.obs -- observability for the sweep pipeline.
 
-Six primitives, one facade:
+Eight primitives, one facade:
 
 * :mod:`repro.obs.tracing`   -- hierarchical wall-clock spans
   (:class:`Tracer`), with :class:`SpanStopwatch` keeping the legacy
@@ -12,10 +12,7 @@ Six primitives, one facade:
 * :mod:`repro.obs.manifest`  -- :class:`RunManifest` provenance records
   (seed, dataset, grid, version, wall clock);
 * :mod:`repro.obs.resources` -- :class:`ResourceSampler` background RSS
-  / CPU / allocation sampling that attaches cost measurements to spans;
-* :mod:`repro.obs.baseline`  -- durable ``BENCH_*.json``
-  :class:`Baseline` records and noise-aware
-  :func:`compare_baselines` regression detection;
+  / CPU sampling that attaches cost measurements to spans;
 * :mod:`repro.obs.progress`  -- :class:`SweepProgressTracker` live
   sweep state (done/total, worker occupancy, EWMA rate, ETA) computed
   from the event stream, plus the console progress sinks and the
@@ -35,17 +32,6 @@ Everything is pure stdlib; with telemetry disabled the pipeline runs
 the exact same code path with plain stopwatches.
 """
 
-from repro.obs.baseline import (
-    Baseline,
-    BaselineComparison,
-    MetricDelta,
-    SampleStats,
-    baseline_path,
-    compare_baselines,
-    format_baseline,
-    format_comparison,
-    load_baseline,
-)
 from repro.obs.events import EventLog, JsonLinesSink, MemorySink, Sink
 from repro.obs.export import (
     chrome_trace_events,
@@ -88,8 +74,6 @@ from repro.obs.telemetry import (
 from repro.obs.tracing import Span, SpanStopwatch, Tracer, current_span_path
 
 __all__ = [
-    "Baseline",
-    "BaselineComparison",
     "Counter",
     "DEFAULT_HZ",
     "EventLog",
@@ -97,7 +81,6 @@ __all__ = [
     "Histogram",
     "JsonLinesSink",
     "MemorySink",
-    "MetricDelta",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullTelemetry",
@@ -106,7 +89,6 @@ __all__ = [
     "ResourceSampler",
     "ResourceWatch",
     "RunManifest",
-    "SampleStats",
     "Sink",
     "Span",
     "SpanStopwatch",
@@ -115,23 +97,18 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "active_sampler",
-    "baseline_path",
     "chrome_trace_events",
     "collapsed_stacks",
-    "compare_baselines",
     "console_progress_sink",
     "current_span_path",
     "diff_profiles",
-    "format_baseline",
     "format_chrome_trace",
-    "format_comparison",
     "format_critical_path",
     "format_hotspots",
     "format_profile_diff",
     "format_resource_breakdown",
     "format_snapshot",
     "format_timing_breakdown",
-    "load_baseline",
     "load_profile",
     "load_progress",
     "load_trace",

@@ -1,10 +1,9 @@
 """Statistical stack-sampling profiler with span attribution.
 
-Spans (PR 1) say *which phase* is slow and resource watches (PR 4) say
-*what it cost* -- this module says *which frames inside the phase* burn
-the time, the stack-level evidence the vectorization work on
-``models/topic/gibbs.py`` and batched ranking (ROADMAP item 2) needs
-before rewriting hot loops.
+Spans say *which phase* is slow and resource watches say *what it
+cost* -- this module says *which frames inside the phase* burn the
+time, the stack-level evidence a hot-loop rewrite needs before and
+after (``repro profile diff``).
 
 A :class:`StackSampler` runs a background thread that walks
 ``sys._current_frames()`` at a configurable rate (no signals, no
@@ -309,40 +308,6 @@ class StackSampler:
     def sampling(self) -> bool:
         """Whether the background thread is currently running."""
         return self._thread is not None
-
-    def overhead_ratio(self) -> float:
-        """Live overhead estimate, usable while still sampling.
-
-        :attr:`Profile.overhead_ratio` only sees wall time banked on
-        ``__exit__``; this adds the currently open window, so callers
-        inside the sampled region (the bench suite recording its
-        overhead counter) get a defined value.
-        """
-        wall = self.profile.wall_seconds
-        if self._entered_clock is not None:
-            wall += time.perf_counter() - self._entered_clock
-        if wall <= 0.0:
-            return 0.0
-        return self.profile.sample_seconds / wall
-
-    def snapshot(self) -> dict:
-        """The profile document as of now, with the open window banked.
-
-        Lets code *inside* the sampled region (the bench suite writing
-        its profile companion) persist a document whose
-        ``wall_seconds``/``overhead_ratio`` are defined, without waiting
-        for ``__exit__``.
-        """
-        doc = self.profile.to_dict()
-        if self._entered_clock is not None:
-            wall = self.profile.wall_seconds + (
-                time.perf_counter() - self._entered_clock
-            )
-            doc["wall_seconds"] = wall
-            doc["overhead_ratio"] = (
-                self.profile.sample_seconds / wall if wall > 0.0 else 0.0
-            )
-        return doc
 
     # -- lifecycle (context manager only; see RPR014) ----------------------
 

@@ -1,4 +1,4 @@
-"""Resource sampling: RSS, CPU time and allocation peaks per span.
+"""Resource sampling: RSS and CPU time per span.
 
 Wall-clock spans answer *where the time went*; this module answers
 *what it cost*. A :class:`ResourceSampler` runs a background thread that
@@ -6,8 +6,7 @@ samples the process's resident set size (from ``/proc/self/statm``,
 falling back to :func:`resource.getrusage` where procfs is missing) and
 folds each sample into every open :class:`ResourceWatch`. The tracer
 opens one watch per span, so a saved trace carries ``peak_rss_bytes``
-and ``cpu_seconds`` (and, opt-in, tracemalloc ``alloc_peak_bytes``)
-alongside every phase's wall time -- the memory dimension the paper's
+and ``cpu_seconds`` alongside every phase's wall time -- the memory dimension the paper's
 efficiency discussion (Figure 7 and the PLSA exclusion) needs.
 
 The sampler is a context manager and must be entered with ``with``:
@@ -29,7 +28,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import tracemalloc
 
 from repro.errors import ConfigurationError
 
@@ -68,26 +66,21 @@ def read_rss_bytes() -> int | None:
 class ResourceWatch:
     """One span's resource window.
 
-    The sampler folds RSS (and, opt-in, tracemalloc peak) readings into
-    every open watch; :meth:`stop` closes the window and returns the
-    JSON-ready resource mapping the span stores.
+    The sampler folds RSS readings into every open watch; :meth:`stop`
+    closes the window and returns the JSON-ready resource mapping the
+    span stores.
     """
 
-    __slots__ = ("_sampler", "_cpu_start", "peak_rss_bytes", "alloc_peak_bytes")
+    __slots__ = ("_sampler", "_cpu_start", "peak_rss_bytes")
 
     def __init__(self, sampler: "ResourceSampler"):
         self._sampler = sampler
         self._cpu_start = time.process_time()
         self.peak_rss_bytes: int | None = None
-        self.alloc_peak_bytes: int | None = None
 
     def observe_rss(self, rss_bytes: int) -> None:
         if self.peak_rss_bytes is None or rss_bytes > self.peak_rss_bytes:
             self.peak_rss_bytes = rss_bytes
-
-    def observe_alloc(self, alloc_bytes: int) -> None:
-        if self.alloc_peak_bytes is None or alloc_bytes > self.alloc_peak_bytes:
-            self.alloc_peak_bytes = alloc_bytes
 
     def stop(self) -> dict[str, float]:
         """Close the window; returns the span's ``resources`` mapping."""
@@ -103,23 +96,18 @@ class ResourceSampler:
         Seconds between background samples. Peaks are additionally
         sampled at every watch boundary, so spans shorter than the
         interval still record a value.
-    trace_allocations:
-        Also capture tracemalloc peak allocations per watch. Accurate
-        but slow (every allocation is traced); off by default.
     """
 
-    def __init__(self, interval: float = 0.01, trace_allocations: bool = False):
+    def __init__(self, interval: float = 0.01):
         if interval <= 0.0:
             raise ConfigurationError(
                 f"sampling interval must be positive, got {interval}"
             )
         self.interval = interval
-        self.trace_allocations = trace_allocations
         self._lock = threading.Lock()
         self._active: list[ResourceWatch] = []
         self._thread: threading.Thread | None = None
         self._stop_event = threading.Event()
-        self._started_tracemalloc = False
 
     @property
     def sampling(self) -> bool:
@@ -131,9 +119,6 @@ class ResourceSampler:
     def __enter__(self) -> "ResourceSampler":
         if self._thread is not None:
             raise ConfigurationError("ResourceSampler is already sampling")
-        if self.trace_allocations and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
         self._stop_event.clear()
         self._thread = threading.Thread(
             target=self._sample_loop, name="repro-resource-sampler", daemon=True
@@ -146,9 +131,6 @@ class ResourceSampler:
         self._stop_event.set()
         if thread is not None:
             thread.join()
-        if self._started_tracemalloc:
-            tracemalloc.stop()
-            self._started_tracemalloc = False
 
     def _sample_loop(self) -> None:
         while not self._stop_event.wait(self.interval):
@@ -166,23 +148,14 @@ class ResourceSampler:
     # -- watches ------------------------------------------------------------
 
     def _fold_boundary_sample(self) -> None:
-        """Fold boundary RSS/alloc readings into every open watch.
+        """Fold a boundary RSS reading into every open watch.
 
-        Caller holds the lock. tracemalloc's peak counter is global, so
-        it is read, credited to every open watch (their windows all
-        cover the elapsed interval) and reset -- each watch's
-        ``alloc_peak_bytes`` becomes the max peak over the boundary-to-
-        boundary intervals its window spans.
+        Caller holds the lock.
         """
         rss = read_rss_bytes()
         if rss is not None:
             for watch in self._active:
                 watch.observe_rss(rss)
-        if self.trace_allocations and tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            for watch in self._active:
-                watch.observe_alloc(peak)
-            tracemalloc.reset_peak()
 
     def watch(self) -> ResourceWatch:
         """Open a resource window (the tracer does this per span)."""
@@ -205,6 +178,4 @@ class ResourceSampler:
         resources: dict[str, float] = {"cpu_seconds": cpu_seconds}
         if watch.peak_rss_bytes is not None:
             resources["peak_rss_bytes"] = int(watch.peak_rss_bytes)
-        if watch.alloc_peak_bytes is not None:
-            resources["alloc_peak_bytes"] = int(watch.alloc_peak_bytes)
         return resources

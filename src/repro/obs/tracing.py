@@ -37,8 +37,8 @@ __all__ = ["Span", "SpanStopwatch", "Tracer", "current_span_path"]
 #: profiler (:mod:`repro.obs.profiler`) reads this from its sampling
 #: thread to tag each captured stack with the innermost active span --
 #: attribution must work whichever Telemetry instance opened the span
-#: (the bench suite builds one per trial), so the registry is keyed by
-#: thread, not by tracer. List append/pop are atomic under the GIL, so
+#: (a process may build several), so the registry is keyed by thread,
+#: not by tracer. List append/pop are atomic under the GIL, so
 #: the sampling thread sees a consistent (at worst one-span-stale)
 #: snapshot without locking on the hot path.
 _THREAD_SPANS: dict[int, list[str]] = {}
@@ -76,9 +76,8 @@ class Span:
 
     When the tracer has a :class:`~repro.obs.resources.ResourceSampler`
     attached, ``resources`` carries the span's cost measurements
-    (``peak_rss_bytes``, ``cpu_seconds`` and opt-in
-    ``alloc_peak_bytes``); it stays empty otherwise and is omitted from
-    the serialised form.
+    (``peak_rss_bytes`` and ``cpu_seconds``); it stays empty otherwise
+    and is omitted from the serialised form.
     """
 
     name: str

@@ -13,21 +13,45 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.sources import RepresentationSource
 from repro.errors import ConfigurationError
-from repro.experiments.bench import replay_suite_spec
+from repro.experiments.executors import GridSpec, PipelineSpec
 from repro.experiments.replay import (
     ModelReplay,
+    ReplaySpec,
     UserReplay,
     profile_delta,
     profile_digest,
     run_replay,
 )
+from repro.experiments.standard import bench_grid
 from repro.models.graph import NGramGraph
+from repro.twitter.dataset import DatasetConfig, generate_dataset, select_user_groups
+from repro.twitter.entities import UserType
+
+
+def replay_suite_spec(models: tuple[str, ...], seed: int = 7) -> ReplaySpec:
+    """A tiny replay spec: 16 users, 40 ticks, groups of 3 users with at
+    least 3 retweets, 30 training documents per user, source R."""
+    dataset_config = DatasetConfig(n_users=16, n_ticks=40, seed=seed)
+    groups = select_user_groups(
+        generate_dataset(dataset_config), group_size=3, min_retweets=3
+    )
+    return ReplaySpec(
+        pipeline=PipelineSpec(
+            dataset=dataset_config, seed=seed, max_train_docs_per_user=30
+        ),
+        grid=GridSpec.from_grid(bench_grid(seed=seed)),
+        source=RepresentationSource.R.value,
+        users=tuple(sorted(groups[UserType.ALL])),
+        models=models,
+    )
+
 
 #: Two exactness-guaranteed families keep the suite fast; the topic
 #: family's replay is covered by the digest-parity test below and by
 #: tests/models/test_profile_state.py at the protocol level.
-SPEC = dataclasses.replace(replay_suite_spec(scale="tiny"), models=("TN", "TNG"))
+SPEC = replay_suite_spec(models=("TN", "TNG"))
 
 
 class TestSpecValidation:
@@ -113,9 +137,8 @@ class TestSerialReplay:
                 assert user.rebuild_seconds >= user.final_rebuild_seconds >= 0.0
 
     def test_incremental_updates_cheaper_than_rebuild(self, replays):
-        """The cost asymmetry exists (the calibrated >=5x claim is
-        checked by the bench gate, not a unit test -- CI machines are
-        noisy)."""
+        """The cost asymmetry exists (only its direction is checked:
+        the size of the speedup depends on the machine)."""
         for replay in replays:
             assert replay.speedup > 1.0, f"{replay.model}: {replay.speedup}"
 

@@ -189,12 +189,10 @@ class TestSamplerLifecycle:
             deadline = time.perf_counter() + 0.05
             while time.perf_counter() < deadline:
                 sum(i * i for i in range(100))
-            live = sampler.overhead_ratio()
-            snap = sampler.snapshot()
+            assert sampler.profile.wall_seconds == 0.0  # banked on exit only
         doc = sampler.profile.to_dict()
         assert doc["samples"] > 0
-        assert doc["wall_seconds"] >= snap["wall_seconds"] > 0.0
-        assert live >= 0.0
+        assert doc["wall_seconds"] >= 0.05
         # Sampling must stay cheap relative to the window it measures.
         assert doc["overhead_ratio"] < 0.5
 

@@ -72,18 +72,6 @@ class TestWatches:
         assert inner_resources["peak_rss_bytes"] > 0
         assert outer_resources["peak_rss_bytes"] >= inner_resources["peak_rss_bytes"] * 0.5
 
-    def test_alloc_peaks_are_opt_in(self):
-        with ResourceSampler() as sampler:
-            plain = sampler.watch().stop()
-        assert "alloc_peak_bytes" not in plain
-
-        with ResourceSampler(trace_allocations=True) as sampler:
-            watch = sampler.watch()
-            ballast = [bytes(1024) for _ in range(2_000)]  # ~2 MiB of allocations
-            resources = watch.stop()
-        assert len(ballast) == 2_000
-        assert resources["alloc_peak_bytes"] > 1024 * 1024
-
 
 class TestTracerIntegration:
     def test_spans_carry_resources_under_a_sampler(self):

@@ -114,8 +114,8 @@ class TestCurrentSpanPath:
         assert current_span_path() == ()
 
     def test_spans_from_different_tracers_share_one_path(self):
-        # The registry is keyed by thread, not tracer: the bench suite
-        # builds one Telemetry per trial, and the profiler must see the
+        # The registry is keyed by thread, not tracer: a process may
+        # build several Telemetry objects, and the profiler must see the
         # innermost span whichever tracer opened it.
         outer, inner = Tracer(), Tracer()
         with outer.span("trial"):

@@ -62,6 +62,20 @@ class TestEvaluate:
         events = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert any(e["event"] == "evaluate_done" for e in events)
 
+    def test_profiled_evaluate_renders_resource_breakdown(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        assert main([
+            "evaluate", "--model", "TN", "--source", "R", *SMALL,
+            "--trace-out", str(trace_path), "--profile-resources",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "report", "--artifact", "resource-breakdown", "--trace", str(trace_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "resource breakdown" in out
+        assert "peak RSS" in out and "--profile-resources" not in out
+
 
 class TestSweepAndReport:
     def test_roundtrip(self, tmp_path, capsys):
@@ -114,18 +128,61 @@ def _strip_timings(rows):
     ]
 
 
-class TestParallelAndResume:
-    def test_jobs_2_matches_serial(self, tmp_path, capsys):
-        serial_path = tmp_path / "serial.json"
-        parallel_path = tmp_path / "parallel.json"
-        base = ["sweep", "--sources", "R", "--fast", *SMALL]
-        assert main([*base, "--out", str(serial_path)]) == 0
-        assert main([*base, "--out", str(parallel_path), "--jobs", "2"]) == 0
-        capsys.readouterr()
+def _evaluate_resource_keys(trace):
+    """The ``(span name, resource keys)`` pairs inside evaluate
+    subtrees, and the evaluate spans themselves."""
+    keys, evaluates = set(), []
 
-        serial = json.loads(serial_path.read_text())
-        parallel = json.loads(parallel_path.read_text())
+    def visit(span, inside):
+        inside = inside or span["name"] == "evaluate"
+        if span["name"] == "evaluate":
+            evaluates.append(span)
+        if inside:
+            keys.add((span["name"], tuple(sorted(span.get("resources", {})))))
+        for child in span.get("children", ()):
+            visit(child, inside)
+
+    for root in trace["spans"]:
+        visit(root, False)
+    return keys, evaluates
+
+
+class TestParallelAndResume:
+    @pytest.fixture(scope="class")
+    def sweeps(self, tmp_path_factory):
+        """A serial and a ``--jobs 2`` sweep, both resource-sampled."""
+        out = tmp_path_factory.mktemp("parallel")
+        base = ["sweep", "--sources", "R", "--fast", *SMALL, "--profile-resources"]
+        runs = {}
+        for name, extra in (("serial", []), ("parallel", ["--jobs", "2"])):
+            sweep, trace = out / f"{name}.json", out / f"{name}.trace.json"
+            assert main([
+                *base, *extra, "--out", str(sweep), "--trace-out", str(trace),
+            ]) == 0
+            runs[name] = (json.loads(sweep.read_text()), json.loads(trace.read_text()))
+        return runs
+
+    def test_jobs_2_matches_serial(self, sweeps):
+        serial, parallel = sweeps["serial"][0], sweeps["parallel"][0]
         assert _strip_timings(parallel["rows"]) == _strip_timings(serial["rows"])
+
+    def test_worker_spans_carry_resource_samples(self, sweeps):
+        # Workers run their own resource samplers; their evaluate spans
+        # reach the parent's trace through the telemetry merge.
+        serial_keys, serial_evaluates = _evaluate_resource_keys(sweeps["serial"][1])
+        parallel_keys, evaluates = _evaluate_resource_keys(sweeps["parallel"][1])
+        assert len(evaluates) == len(serial_evaluates) > 0
+        for span in evaluates:
+            assert span["resources"]["peak_rss_bytes"] > 0, span["attributes"]
+            assert span["resources"]["cpu_seconds"] >= 0.0, span["attributes"]
+        workers = {
+            config["attributes"].get("worker")
+            for root in sweeps["parallel"][1]["spans"]
+            for config in root.get("children", ())
+            if config["name"] == "config"
+        }
+        assert workers == {0, 1}
+        assert parallel_keys == serial_keys
 
     def test_journal_written_and_resume_restores(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
@@ -271,88 +328,6 @@ class TestQuietProgress:
         assert "\rcells " in captured.err
 
 
-class TestBench:
-    @pytest.fixture(scope="class")
-    def baseline_file(self, tmp_path_factory):
-        out_dir = tmp_path_factory.mktemp("bench")
-        code = main([
-            "bench", "run", "--label", "seed", "--scale", "tiny",
-            "--trials", "1", "--warmup", "0", "--out-dir", str(out_dir),
-        ])
-        assert code == 0
-        return out_dir / "BENCH_seed.json"
-
-    def test_run_writes_a_schema_valid_baseline(self, baseline_file):
-        doc = json.loads(baseline_file.read_text())
-        assert doc["version"] == 1 and doc["label"] == "seed"
-        assert doc["manifest"]["command"] == "bench"
-        for model in ("TN", "TNG", "LDA"):
-            for source in ("R", "T", "TR"):
-                assert f"{model}/{source}/total" in doc["phases"]
-        for phase, metrics in doc["phases"].items():
-            assert "wall_seconds" in metrics, phase
-            assert "peak_rss_bytes" in metrics, phase
-
-    def test_compare_against_itself_is_clean(self, baseline_file, capsys):
-        code = main([
-            "bench", "compare", str(baseline_file), str(baseline_file), "--gate",
-        ])
-        assert code == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_gate_flags_exactly_the_slowed_phase(
-        self, baseline_file, tmp_path, capsys
-    ):
-        doc = json.loads(baseline_file.read_text())
-        slowed = doc["phases"]["TN/R/fit"]["wall_seconds"]
-        for key in ("median", "min", "max"):
-            slowed[key] = slowed[key] * 10 + 1.0
-        slowed["samples"] = [v * 10 + 1.0 for v in slowed["samples"]]
-        slowed_path = tmp_path / "BENCH_slowed.json"
-        slowed_path.write_text(json.dumps(doc))
-
-        code = main([
-            "bench", "compare", str(baseline_file), str(slowed_path),
-            "--gate", "--format", "json",
-        ])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        flagged = [
-            (d["phase"], d["metric"]) for d in payload["deltas"]
-            if d["classification"] == "regression"
-        ]
-        assert flagged == [("TN/R/fit", "wall_seconds")]
-
-    def test_markdown_output(self, baseline_file, capsys):
-        code = main([
-            "bench", "compare", str(baseline_file), str(baseline_file),
-            "--format", "markdown",
-        ])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("## bench compare")
-
-    def test_schema_error_exits_2(self, baseline_file, tmp_path, capsys):
-        broken = tmp_path / "BENCH_broken.json"
-        broken.write_text("{\"version\": 99}")
-        code = main(["bench", "compare", str(baseline_file), str(broken)])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_profiled_evaluate_renders_resource_breakdown(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        assert main([
-            "evaluate", "--model", "TN", "--source", "R", *SMALL,
-            "--trace-out", str(trace_path), "--profile-resources",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "report", "--artifact", "resource-breakdown", "--trace", str(trace_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "resource breakdown" in out
-        assert "peak RSS" in out and "--profile-resources" not in out
-
-
 class TestProfile:
     @pytest.fixture(scope="class")
     def profile_file(self, tmp_path_factory):
@@ -436,32 +411,6 @@ class TestProfile:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_profiled_bench_writes_companion_and_counters(
-        self, tmp_path, capsys
-    ):
-        # Satellite contract: a profiled bench run drops a
-        # PROFILE_<label>.json companion next to the baseline, and the
-        # baseline itself records the sampling rate and sampler cost.
-        code = main([
-            "profile", "--hz", "251", "--out", str(tmp_path / "p.json"), "--",
-            "bench", "run", "--label", "pr", "--scale", "tiny",
-            "--trials", "1", "--warmup", "0", "--out-dir", str(tmp_path),
-        ])
-        assert code == 0
-        assert "profile companion written to" in capsys.readouterr().out
-
-        baseline = json.loads((tmp_path / "BENCH_pr.json").read_text())
-        assert baseline["config"]["profile_hz"] == 251.0
-        assert baseline["manifest"]["extra"]["profile_hz"] == 251.0
-        assert baseline["counters"]["profiler.samples"] > 0
-        assert baseline["counters"]["profiler.dropped"] >= 0
-        assert 0.0 <= baseline["counters"]["profiler.overhead_percent"] < 5.0
-
-        companion = json.loads((tmp_path / "PROFILE_pr.json").read_text())
-        assert companion["kind"] == "repro-profile"
-        assert companion["hz"] == 251.0
-        assert companion["wall_seconds"] > 0  # open window banked
 
 
 class TestSuggest:
