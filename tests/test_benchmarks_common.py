@@ -19,6 +19,12 @@ class TestTrialsKnob:
         monkeypatch.setenv(TRIALS_ENV, "4")
         assert bench_common.bench_trials() == 4
 
+    def test_reads_the_env_on_every_call(self, monkeypatch):
+        monkeypatch.delenv(TRIALS_ENV, raising=False)
+        assert bench_common.bench_trials() == 1
+        monkeypatch.setenv(TRIALS_ENV, "4")
+        assert bench_common.bench_trials() == 4
+
     @pytest.mark.parametrize("bad", ["zero-ish", "0", "-3"])
     def test_invalid_values_rejected(self, monkeypatch, bad):
         monkeypatch.setenv(TRIALS_ENV, bad)
