@@ -21,6 +21,7 @@ and normalized value (NS) similarity.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
@@ -41,25 +42,108 @@ __all__ = [
 
 Edge = tuple[str, str]
 
+_LOW = (1 << 32) - 1
 
-def _edge(a: str, b: str) -> Edge:
-    """Canonical (sorted) key for an undirected edge."""
-    return (a, b) if a <= b else (b, a)
+
+def _pack(ia: int, ib: int) -> int:
+    """The key of the edge between grams ``ia`` and ``ib``."""
+    return ia << 32 | ib if ia <= ib else ib << 32 | ia
+
+
+class _GramTable:
+    """N-gram ids in first-seen order, and the grams by id.
+
+    An edge is keyed by one int, ``lo << 32 | hi`` over its two ids
+    (smaller id high), so building, merging and comparing graphs hash
+    ints instead of string tuples. Ids stay inside this module: edges
+    leave it as string pairs.
+    """
+
+    __slots__ = ("ids", "grams", "__weakref__")
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+        self.grams: list[str] = []
+
+    def intern(self, grams: Sequence[str]) -> list[int]:
+        """The ids of ``grams``, numbering unseen ones in first-seen order."""
+        ids = self.ids
+        try:  # Most documents hold only grams seen before.
+            return [ids[gram] for gram in grams]
+        except KeyError:
+            pass
+        known = self.grams
+        for gram in grams:
+            if gram not in ids:
+                ids[gram] = len(known)
+                known.append(gram)
+        return [ids[gram] for gram in grams]
+
+    def key(self, a: str, b: str) -> int | None:
+        """The key of edge ``{a, b}``, or None if either gram is unseen."""
+        ia, ib = self.ids.get(a), self.ids.get(b)
+        return None if ia is None or ib is None else _pack(ia, ib)
+
+    def decode(self, key: int) -> Edge:
+        """The canonical ``(a, b)``, ``a <= b``, string pair of an edge key."""
+        a, b = self.grams[key >> 32], self.grams[key & _LOW]
+        return (a, b) if a <= b else (b, a)
+
+
+# The live table, held weakly. Every graph holds the table its keys
+# index, so all live graphs share one table, and its grams are freed
+# with the last graph that uses them instead of living as long as the
+# process. Not thread-safe: graphs are built on one thread per process
+# (parallel sweeps use worker processes).
+_live_table: weakref.ref[_GramTable] | None = None
+
+
+def _table() -> _GramTable:
+    global _live_table
+    table = _live_table() if _live_table is not None else None
+    if table is None:
+        table = _GramTable()
+        _live_table = weakref.ref(table)  # repro: allow[RPR012] -- weak handle on the per-process n-gram id table; ids never leave graph.py (edges() and pickles carry strings), so every worker's table may differ
+    return table
+
+
+def _merge_into(edges: dict[int, float], other: dict[int, float], learning_factor: float) -> None:
+    """Apply the update operator (see :meth:`NGramGraph.updated`) to ``edges`` in place."""
+    if not 0.0 < learning_factor <= 1.0:
+        raise ValidationError(f"learning factor must be in (0, 1], got {learning_factor}")
+    get = edges.get
+    for key, w_other in other.items():
+        w_self = get(key, 0.0)
+        edges[key] = w_self + (w_other - w_self) * learning_factor
 
 
 class NGramGraph:
     """An undirected weighted graph over n-grams.
 
-    Stored as a ``dict[Edge, float]``; vertices are implicit (the n-grams
-    appearing in at least one edge). ``|G|`` -- the graph *size* used by
-    every similarity measure -- is the number of edges, as in the source
-    papers.
+    Stored as a ``dict`` from packed edge key to weight; vertices are
+    implicit (the n-grams appearing in at least one edge). ``|G|`` --
+    the graph *size* used by every similarity measure -- is the number
+    of edges, as in the source papers. The public surface speaks in
+    string pairs; pickles carry string pairs too, because another
+    process, or a later table in this one, numbers its n-grams in its
+    own order.
     """
 
-    __slots__ = ("_edges",)
+    __slots__ = ("_edges", "_table")
 
     def __init__(self, edges: dict[Edge, float] | None = None):
-        self._edges: dict[Edge, float] = dict(edges) if edges else {}
+        table = self._table = _table()
+        self._edges: dict[int, float] = {}
+        for (a, b), weight in (edges or {}).items():
+            self._edges[_pack(*table.intern((a, b)))] = weight
+
+    @classmethod
+    def _adopt(cls, edges: dict[int, float], table: _GramTable) -> "NGramGraph":
+        """Wrap an edge-key dict over ``table`` without copying it."""
+        graph = cls.__new__(cls)
+        graph._edges = edges
+        graph._table = table
+        return graph
 
     @classmethod
     def from_ngrams(cls, grams: Sequence[str], window: int) -> "NGramGraph":
@@ -72,31 +156,41 @@ class NGramGraph:
         """
         if window < 1:
             raise ValidationError(f"window must be >= 1, got {window}")
-        edges: dict[Edge, float] = {}
-        for i, gram in enumerate(grams):
-            for j in range(i + 1, min(i + window + 1, len(grams))):
-                key = _edge(gram, grams[j])
-                edges[key] = edges.get(key, 0.0) + 1.0
-        return cls(edges)
+        table = _table()
+        ids = table.intern(grams)
+        edges: dict[int, float] = {}
+        get = edges.get
+        for i, a in enumerate(ids, start=1):
+            for b in ids[i : i + window]:
+                key = a << 32 | b if a <= b else b << 32 | a  # _pack, inlined
+                edges[key] = get(key, 0.0) + 1.0
+        return cls._adopt(edges, table)
 
     # -- mapping-ish surface -------------------------------------------------
 
     def weight(self, a: str, b: str) -> float:
-        return self._edges.get(_edge(a, b), 0.0)
+        key = self._table.key(a, b)
+        return 0.0 if key is None else self._edges.get(key, 0.0)
 
     def edges(self) -> Iterator[tuple[Edge, float]]:
-        return iter(self._edges.items())
+        """``((a, b), weight)`` pairs, ``a <= b``, in insertion order."""
+        decode = self._table.decode
+        return ((decode(key), weight) for key, weight in self._edges.items())
 
     def __len__(self) -> int:
         return len(self._edges)
 
     def __contains__(self, edge: Edge) -> bool:
-        return _edge(*edge) in self._edges
+        key = self._table.key(*edge)
+        return key is not None and key in self._edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NGramGraph):
             return NotImplemented
         return self._edges == other._edges
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (NGramGraph, (dict(self.edges()),))
 
     def __repr__(self) -> str:
         return f"NGramGraph({len(self)} edges)"
@@ -112,13 +206,9 @@ class NGramGraph:
         a zero prior, i.e. ``w = w_other * learning_factor``; edges only
         in ``self`` are kept unchanged.
         """
-        if not 0.0 < learning_factor <= 1.0:
-            raise ValidationError(f"learning factor must be in (0, 1], got {learning_factor}")
         merged = dict(self._edges)
-        for key, w_other in other._edges.items():
-            w_self = merged.get(key, 0.0)
-            merged[key] = w_self + (w_other - w_self) * learning_factor
-        return NGramGraph(merged)
+        _merge_into(merged, other._edges, learning_factor)
+        return NGramGraph._adopt(merged, self._table)
 
     @classmethod
     def merge_all(cls, graphs: Sequence["NGramGraph"]) -> "NGramGraph":
@@ -127,10 +217,10 @@ class NGramGraph:
         The ``i``-th graph (1-based) is merged with learning factor
         ``1 / i``, so the result holds running-average edge weights.
         """
-        model = cls()
+        edges: dict[int, float] = {}
         for i, graph in enumerate(graphs, start=1):
-            model = model.updated(graph, 1.0 / i)
-        return model
+            _merge_into(edges, graph._edges, 1.0 / i)
+        return cls._adopt(edges, _table())
 
 
 # -- similarity measures ------------------------------------------------------
@@ -147,7 +237,7 @@ class GraphSimilarity(str, enum.Enum):
         return self.value
 
 
-def _edge_dicts(g1: NGramGraph, g2: NGramGraph) -> tuple[dict[Edge, float], dict[Edge, float]]:
+def _edge_dicts(g1: NGramGraph, g2: NGramGraph) -> tuple[dict[int, float], dict[int, float]]:
     """The (smaller, larger) graph's edge dicts; keys are canonical in both."""
     return (g1._edges, g2._edges) if len(g1) <= len(g2) else (g2._edges, g1._edges)
 
@@ -157,17 +247,22 @@ def containment_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
     if len(g1) == 0 or len(g2) == 0:
         return 0.0
     small, large = _edge_dicts(g1, g2)
-    return sum(1 for edge in small if edge in large) / len(small)
+    return len(small.keys() & large.keys()) / len(small)
 
 
 def _value_overlap(g1: NGramGraph, g2: NGramGraph) -> float:
-    """Sum of ``min/max`` weight ratios over the edges both graphs share."""
+    """Sum of ``min/max`` weight ratios over the edges both graphs share.
+
+    Iterates the smaller graph in insertion order: the float sum's order
+    is part of the result.
+    """
     small, large = _edge_dicts(g1, g2)
+    get = large.get
     total = 0.0
     for edge, w_small in small.items():
-        w_large = large.get(edge, 0.0)
+        w_large = get(edge, 0.0)
         if w_large > 0.0 and w_small > 0.0:
-            total += min(w_small, w_large) / max(w_small, w_large)
+            total += w_small / w_large if w_small < w_large else w_large / w_small
     return total
 
 
@@ -204,9 +299,10 @@ class GraphProfileState(ProfileState):
 
     The running user graph folds each positive document graph with
     learning factor ``1 / i`` for the ``i``-th contribution -- the exact
-    sequence of :meth:`NGramGraph.updated` calls that
-    :meth:`NGramGraph.merge_all` performs, so the incremental profile is
-    bit-identical to the batch one. The update operator is **not**
+    sequence of update-operator steps that :meth:`NGramGraph.merge_all`
+    performs, so the incremental profile is bit-identical to the batch
+    one. The running edge dict is private and merged in place;
+    :meth:`value` hands out a copy. The update operator is **not**
     commutative, which is why :class:`~repro.models.base.ProfileState`
     pins the fold order to ``(timestamp, tweet_id)``.
 
@@ -228,28 +324,28 @@ class GraphProfileState(ProfileState):
         self._model = model
         self._represent = represent if represent is not None else model.represent
         self._entries: list[tuple[Any, NGramGraph]] = []
-        self._graph = NGramGraph()
+        self._edges: dict[int, float] = {}
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
         if label is not None and label != 1:
             return
         graph = self._represent(doc)
         self._entries.append((key, graph))
-        self._graph = self._graph.updated(graph, 1.0 / len(self._entries))
+        _merge_into(self._edges, graph._edges, 1.0 / len(self._entries))
 
     def value(self) -> NGramGraph:
-        return NGramGraph(dict(self._graph.edges()))
+        return NGramGraph._adopt(dict(self._edges), _table())
 
     def decayed(self, weight_fn: Callable[[Any], float]) -> NGramGraph:
-        merged = NGramGraph()
+        edges: dict[int, float] = {}
         mass = 0.0
         for key, graph in self._entries:
             weight = weight_fn(key)
             if weight <= 0.0:
                 continue
             mass += weight
-            merged = merged.updated(graph, weight / mass)
-        return merged
+            _merge_into(edges, graph._edges, weight / mass)
+        return NGramGraph._adopt(edges, _table())
 
 
 class GraphModel(RepresentationModel):

@@ -161,11 +161,8 @@ class ResourceSampler:
         """Open a resource window (the tracer does this per span)."""
         watch = ResourceWatch(self)
         with self._lock:
-            self._fold_boundary_sample()
             self._active.append(watch)
-            rss = read_rss_bytes()
-            if rss is not None:
-                watch.observe_rss(rss)
+            self._fold_boundary_sample()
         return watch
 
     def finish(self, watch: ResourceWatch) -> dict[str, float]:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.replay import profile_digest
 from repro.models.base import TextDoc
 from repro.models.graph import (
     CharacterNGramGraphModel,
@@ -18,6 +25,7 @@ from repro.models.graph import (
     normalized_value_similarity,
     value_similarity,
 )
+from repro.text.ngrams import char_ngrams
 
 
 def doc(text: str) -> TextDoc:
@@ -64,6 +72,90 @@ class TestGraphConstruction:
         g1 = NGramGraph.from_ngrams(["a", "b"], window=1)
         g2 = NGramGraph.from_ngrams(["a", "b"], window=1)
         assert g1 == g2
+
+
+class TestInterning:
+    TEXTS = ["naïve café crème", "café au lait", "crème brûlée"]
+
+    def fixed_graph(self) -> NGramGraph:
+        return NGramGraph.merge_all(
+            [NGramGraph.from_ngrams(char_ngrams(t, 3), 3) for t in self.TEXTS]
+        )
+
+    @staticmethod
+    def run_python(script: str, stdin: bytes = b"") -> dict:
+        """Run ``script`` in a fresh interpreter; returns its JSON output."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        result = subprocess.run(
+            [sys.executable, "-c", script], input=stdin, env=env,
+            capture_output=True, check=True,
+        )
+        return json.loads(result.stdout)
+
+    def test_lookups_do_not_grow_the_table(self):
+        g = NGramGraph.from_ngrams(["a", "b"], window=1)
+        size = len(g._table.grams)
+        assert g.weight("a", "never seen ∂") == 0.0
+        assert ("never seen ∫", "b") not in g
+        assert len(g._table.grams) == size
+
+    def test_edges_are_canonical_string_pairs_in_insertion_order(self):
+        g = NGramGraph.from_ngrams(["b", "a", "c", "a"], window=1)
+        assert list(g.edges()) == [(("a", "b"), 1.0), (("a", "c"), 2.0)]
+
+    def test_digest_matches_tuple_keyed_graphs(self):
+        # Taken from the tuple-keyed graphs: ids never reach a digest.
+        assert profile_digest(self.fixed_graph()) == "cd07392eb5eef358"
+
+    def test_pickle_round_trip(self):
+        g = self.fixed_graph()
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        assert list(copy.edges()) == list(g.edges())
+
+    def test_pickle_crosses_a_process_numbering_grams_differently(self):
+        out = self.run_python(
+            "import json, pickle, sys\n"
+            "from repro.experiments.replay import profile_digest\n"
+            "from repro.models.graph import NGramGraph\n"
+            "from repro.text.ngrams import char_ngrams\n"
+            f"texts = {self.TEXTS!r}\n"
+            "grams = sorted({g for t in texts for g in char_ngrams(t, 3)}, reverse=True)\n"
+            "numbering = NGramGraph.from_ngrams(grams, 1)  # number the grams in another order\n"
+            "received = pickle.loads(sys.stdin.buffer.read())\n"
+            "built = NGramGraph.merge_all([NGramGraph.from_ngrams(char_ngrams(t, 3), 3) for t in texts])\n"
+            "print(json.dumps({'equal': received == built,\n"
+            "                  'edges': list(received.edges()) == list(built.edges()),\n"
+            "                  'digest': profile_digest(received),\n"
+            "                  'keys': list(received._edges)}))\n",
+            pickle.dumps(self.fixed_graph()),
+        )
+        g = self.fixed_graph()
+        assert out["keys"] != list(g._edges)  # the other process numbered differently
+        assert out["equal"] and out["edges"]
+        assert out["digest"] == profile_digest(g)
+
+    def test_table_lives_as_long_as_its_graphs(self):
+        out = self.run_python(
+            "import gc, json, weakref\n"
+            "from repro.models.graph import NGramGraph\n"
+            "g = NGramGraph.from_ngrams(['a', 'b', 'c'], 1)\n"
+            "table = weakref.ref(g._table)\n"
+            "user = NGramGraph.merge_all([g])\n"
+            "del g\n"
+            "held = table() is not None\n"
+            "del user\n"
+            "gc.collect()\n"
+            "freed = table() is None\n"
+            "fresh = NGramGraph.from_ngrams(['c', 'd'], 1)\n"
+            "print(json.dumps({'held': held, 'freed': freed, 'grams': fresh._table.grams,\n"
+            "                  'edges': list(fresh.edges())}))\n"
+        )
+        assert out["held"] and out["freed"]
+        assert out["grams"] == ["c", "d"]
+        assert out["edges"] == [[["c", "d"], 1.0]]
 
 
 class TestUpdateOperator:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import resources as resources_module
 from repro.obs.resources import ResourceSampler, read_rss_bytes
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import Span, Tracer
@@ -71,6 +72,25 @@ class TestWatches:
             outer_resources = outer.stop()
         assert inner_resources["peak_rss_bytes"] > 0
         assert outer_resources["peak_rss_bytes"] >= inner_resources["peak_rss_bytes"] * 0.5
+
+    def test_watch_takes_one_reading_shared_with_open_watches(self, monkeypatch):
+        readings = iter([10_000_000, 30_000_000])
+        calls = []
+
+        def fake_read() -> int:
+            calls.append(1)
+            return next(readings)
+
+        monkeypatch.setattr(resources_module, "read_rss_bytes", fake_read)
+        # The 60 s interval keeps the background thread from sampling.
+        with ResourceSampler(interval=60.0) as sampler:
+            outer = sampler.watch()
+            assert len(calls) == 1
+            assert outer.peak_rss_bytes == 10_000_000
+            inner = sampler.watch()
+            assert len(calls) == 2
+            assert inner.peak_rss_bytes == 30_000_000
+            assert outer.peak_rss_bytes == 30_000_000
 
 
 class TestTracerIntegration:
