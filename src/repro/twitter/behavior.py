@@ -67,7 +67,7 @@ class RetweetPolicy:
 
     def match_score(self, profile: UserProfile, topic_mix: np.ndarray) -> float:
         """Normalised interest/content match in ``[0, 1]``."""
-        top = float(np.max(profile.interests))
+        top = profile.top_interest
         if top <= 0.0:
             return 0.0
         raw = float(np.dot(profile.interests, topic_mix))

@@ -180,15 +180,15 @@ class MicroblogDataset:
 
     # -- user classification ---------------------------------------------------
 
+    def _n_posts(self, user_id: int) -> int:
+        return len(self._originals_by_author[user_id]) + len(self._retweets_by_author[user_id])
+
     def posting_ratio(self, user_id: int) -> float:
         """Outgoing / incoming tweet count; ``inf`` with no incoming."""
-        outgoing = len(self._originals_by_author[user_id]) + len(
-            self._retweets_by_author[user_id]
-        )
-        incoming = len(self.incoming(user_id))
+        incoming = sum(self._n_posts(uid) for uid in self.graph.followees(user_id))
         if incoming == 0:
             return float("inf")
-        return outgoing / incoming
+        return self._n_posts(user_id) / incoming
 
     def user_type(self, user_id: int) -> UserType:
         return UserType.from_posting_ratio(self.posting_ratio(user_id))
@@ -313,12 +313,15 @@ def generate_dataset(
 
         # Retweet decisions: each user reads up to attention_budget fresh
         # tweets from her followees this tick and reposts per the policy.
-        fresh_by_author: dict[int, list[Tweet]] = {}
+        # Each fresh tweet's mix as an array, built once for all readers.
+        fresh_by_author: dict[int, list[tuple[Tweet, np.ndarray]]] = {}
         for tweet in fresh:
-            fresh_by_author.setdefault(tweet.author_id, []).append(tweet)
+            fresh_by_author.setdefault(tweet.author_id, []).append(
+                (tweet, np.array(tweet.topic_mix))
+            )
 
         for profile in profiles:
-            readable: list[Tweet] = []
+            readable: list[tuple[Tweet, np.ndarray]] = []
             for followee in graph.followees(profile.user_id):
                 readable.extend(fresh_by_author.get(followee, ()))
             if not readable:
@@ -326,12 +329,12 @@ def generate_dataset(
             if len(readable) > config.attention_budget:
                 picks = rng.choice(len(readable), size=config.attention_budget, replace=False)
                 readable = [readable[i] for i in picks]
-            for tweet in readable:
+            for tweet, mix in readable:
                 seen[profile.user_id].add(tweet.tweet_id)
                 key = (profile.user_id, tweet.tweet_id)
                 if key in already_retweeted:
                     continue
-                p = policy.probability(profile, np.array(tweet.topic_mix))
+                p = policy.probability(profile, mix)
                 if profiles[tweet.author_id].language != profile.language:
                     p *= config.cross_language_retweet_rate
                 if rng.random() < p:
@@ -382,14 +385,16 @@ def select_user_groups(
 
     group_size = min(group_size, max(1, len(eligible) // 3))
     seekers = by_ratio[:group_size]
-    rest = [uid for uid in by_ratio if uid not in set(seekers)]
+    rest = by_ratio[group_size:]
     balanced = sorted(rest, key=lambda uid: abs(ratios[uid] - 1.0))[:group_size]
-    remaining = [uid for uid in rest if uid not in set(balanced)]
+    balanced_set = set(balanced)
+    remaining = [uid for uid in rest if uid not in balanced_set]
     producers = [uid for uid in remaining if ratios[uid] > producer_ratio_threshold]
     producers = sorted(producers, key=lambda uid: -ratios[uid])[:group_size]
 
-    leftovers = [uid for uid in remaining if uid not in set(producers)]
-    all_users = sorted(set(seekers) | set(balanced) | set(producers) | set(leftovers))
+    # Seekers, balanced users, producers and the leftovers partition the
+    # eligible users, so All Users is all of them.
+    all_users = sorted(eligible)
 
     return {
         UserType.INFORMATION_SEEKER: seekers,

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.twitter.sampling import categorical_cdf
 
 __all__ = ["Tweet", "UserProfile", "UserType"]
 
@@ -104,6 +106,9 @@ class UserProfile:
     retweet_affinity:
         Multiplier on her base retweet propensity; higher means she
         reposts more of what matches her interests.
+
+    ``interest_cdf`` and ``top_interest`` are derived from ``interests``
+    on first use and kept, so ``interests`` must not change afterwards.
     """
 
     user_id: int
@@ -117,3 +122,13 @@ class UserProfile:
         if total <= 0:
             raise ValidationError(f"user {self.user_id}: interests must have positive mass")
         self.interests = np.asarray(self.interests, dtype=float) / total
+
+    @cached_property
+    def interest_cdf(self) -> list[float]:
+        """``interests`` as a CDF for :func:`repro.twitter.sampling.draw`."""
+        return categorical_cdf(self.interests)
+
+    @cached_property
+    def top_interest(self) -> float:
+        """The largest interest weight."""
+        return float(np.max(self.interests))

@@ -24,6 +24,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.twitter.entities import UserProfile
 from repro.twitter.language import LanguageInventory
+from repro.twitter.sampling import categorical_cdf, draw
 
 __all__ = ["NoiseChannel", "TweetComposer", "ComposedText"]
 
@@ -168,7 +169,7 @@ class TweetComposer:
         """One tweet's topic mixture: the user's interests, sharpened
         around a sampled focus topic."""
         k = self.inventory.n_topics
-        focus = int(rng.choice(k, p=profile.interests))
+        focus = draw(profile.interest_cdf, rng)
         alpha = np.full(k, 0.1)
         alpha[focus] += self.topic_concentration
         return rng.dirichlet(alpha)
@@ -191,6 +192,7 @@ class TweetComposer:
         language = self.inventory.language(lang_name)
         if topic_mix is None:
             topic_mix = self.sample_topic_mix(profile, rng)
+        topic_cdf = categorical_cdf(topic_mix)
 
         n_words = int(rng.integers(self.min_words, self.max_words + 1))
         words: list[str] = []
@@ -202,7 +204,7 @@ class TweetComposer:
             # Topical content arrives as a chain run: a walk over the
             # topic's successor graph, giving text the pervasive local
             # bigram structure of natural language.
-            topic = int(rng.choice(len(topic_mix), p=topic_mix))
+            topic = draw(topic_cdf, rng)
             chain = self.inventory.sample_chain(
                 lang_name, topic, rng, continue_probability=self.phrase_rate
             )
@@ -225,4 +227,4 @@ class TweetComposer:
         if rng.random() < self.question_rate:
             pieces.append("?")
 
-        return ComposedText(" ".join(pieces), tuple(float(x) for x in topic_mix))
+        return ComposedText(" ".join(pieces), tuple(topic_mix.tolist()))

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DataGenerationError, ValidationError
+from repro.twitter.sampling import categorical_cdf, draw
 
 __all__ = ["SyntheticLanguage", "LanguageInventory", "DEFAULT_LANGUAGES", "default_inventory"]
 
@@ -163,11 +164,12 @@ class LanguageInventory:
         total = sum(p for _, p in languages)
         self._languages = [lang for lang, _ in languages]
         self._probabilities = np.array([p / total for _, p in languages])
+        self._language_cdf = categorical_cdf(self._probabilities)
         self._by_name = {lang.name: lang for lang in self._languages}
 
         ranks = np.arange(1, words_per_topic + 1, dtype=float)
         weights = ranks ** (-zipf_exponent)
-        self._zipf = weights / weights.sum()
+        self._zipf_cdf = categorical_cdf(weights / weights.sum())
 
         # topic_words[lang][topic] -> list of words; common_words[lang] -> list
         self._topic_words: dict[str, list[list[str]]] = {}
@@ -251,8 +253,7 @@ class LanguageInventory:
 
     def sample_language(self, rng: np.random.Generator) -> SyntheticLanguage:
         """Draw a language by its corpus frequency."""
-        idx = int(rng.choice(len(self._languages), p=self._probabilities))
-        return self._languages[idx]
+        return self._languages[draw(self._language_cdf, rng)]
 
     def allocate_languages(
         self, n_users: int, rng: np.random.Generator
@@ -291,7 +292,7 @@ class LanguageInventory:
     def sample_topic_word(self, language: str, topic: int, rng: np.random.Generator) -> str:
         """Draw a word from the (language, topic) Zipf distribution."""
         words = self._topic_words[language][topic]
-        return words[int(rng.choice(len(words), p=self._zipf))]
+        return words[draw(self._zipf_cdf, rng)]
 
     def sample_common_word(self, language: str, rng: np.random.Generator) -> str:
         words = self._common_words[language]
