@@ -23,12 +23,13 @@ the token distance within a biterm (paper: ``r = 30``).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from operator import mul, truediv
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import draw_index, notify_iteration
+from repro.models.topic.gibbs import SCALAR_TOPICS, draw_index, draw_scalar, notify_iteration
 from repro.text.pooling import PoolingScheme
 
 __all__ = ["BitermTopicModel", "extract_biterms"]
@@ -135,7 +136,9 @@ class BitermTopicModel(TopicModel):
         z_assign = rng.integers(k, size=len(biterms)).tolist()
         # Counts as lists; beside them the smoothed factors n_z + α,
         # n_kw + β (word-major, V x K) and (2 n_z + Vβ)(2 n_z + Vβ + 1),
-        # where a count change recomputes only its own entry.
+        # where a count change recomputes only its own entry. With few
+        # topics the factors are Python floats for draw_scalar, else
+        # numpy rows for draw_index.
         n_z = [0] * k
         n_wk = [[0] * k for _ in range(vocab_size)]
         for (w1, w2), topic in zip(biterms, z_assign):
@@ -144,42 +147,66 @@ class BitermTopicModel(TopicModel):
             n_wk[w2][topic] += 1
         alpha, beta = self.alpha, self.beta
         v_beta = vocab_size * beta
+        scalar = k <= SCALAR_TOPICS
         topic_factors = np.array(n_z, dtype=float) + alpha
         word_factors = np.array(n_wk, dtype=float).reshape(vocab_size, k) + beta
         totals = 2.0 * np.array(n_z, dtype=float) + v_beta
         denominators = totals * (totals + 1.0)
-        word_rows = list(word_factors)
-        weights = np.empty(k)
+        if scalar:
+            topic_factors, denominators = topic_factors.tolist(), denominators.tolist()
+            word_rows = word_factors.tolist()
+        else:
+            word_rows = list(word_factors)
+        buffer = np.empty(k)
 
-        def move(topic: int, w1: int, w2: int, step: int) -> None:
-            count = n_z[topic] + step
-            n_z[topic] = count
-            topic_factors[topic] = count + alpha
-            total = 2.0 * count + v_beta
-            denominators[topic] = total * (total + 1.0)
-            for w in (w1, w2):
-                row = n_wk[w]
-                count = row[topic] + step
-                row[topic] = count
-                word_rows[w][topic] = count + beta
-
+        # The count moves are written out, not called: with a few topics
+        # a call per move costs a tenth of the step.
         for iteration in range(self.iterations):
             draws = rng.random(len(biterms)).tolist()
             for i, (w1, w2) in enumerate(biterms):
-                move(z_assign[i], w1, w2, -1)
-                np.multiply(topic_factors, word_rows[w1], weights)
-                np.multiply(weights, word_rows[w2], weights)
-                np.divide(weights, denominators, weights)
-                topic = draw_index(weights, draws[i], self.name)
+                counts1, counts2 = n_wk[w1], n_wk[w2]
+                factors1, factors2 = word_rows[w1], word_rows[w2]
+                topic = z_assign[i]
+                count = n_z[topic] - 1
+                n_z[topic] = count
+                topic_factors[topic] = count + alpha
+                total = 2.0 * count + v_beta
+                denominators[topic] = total * (total + 1.0)
+                count = counts1[topic] - 1
+                counts1[topic] = count
+                factors1[topic] = count + beta
+                count = counts2[topic] - 1
+                counts2[topic] = count
+                factors2[topic] = count + beta
+                if scalar:
+                    weights = list(map(truediv, map(mul, map(mul, topic_factors, factors1),
+                                                    factors2), denominators))
+                    topic = draw_scalar(weights, draws[i], self.name)
+                else:
+                    np.multiply(topic_factors, factors1, buffer)
+                    np.multiply(buffer, factors2, buffer)
+                    np.divide(buffer, denominators, buffer)
+                    topic = draw_index(buffer, draws[i], self.name)
                 z_assign[i] = topic
-                move(topic, w1, w2, 1)
+                count = n_z[topic] + 1
+                n_z[topic] = count
+                topic_factors[topic] = count + alpha
+                total = 2.0 * count + v_beta
+                denominators[topic] = total * (total + 1.0)
+                count = counts1[topic] + 1
+                counts1[topic] = count
+                factors1[topic] = count + beta
+                count = counts2[topic] + 1
+                counts2[topic] = count
+                factors2[topic] = count + beta
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations
             )
 
-        self._phi = np.ascontiguousarray(
-            (word_factors / (2.0 * np.array(n_z, dtype=float) + v_beta)).T
-        )
+        counts = np.array(n_z, dtype=float)
+        word_factors = np.array(n_wk, dtype=float).reshape(vocab_size, k) + beta
+        self._phi = np.ascontiguousarray((word_factors / (2.0 * counts + v_beta)).T)
+        topic_factors = counts + alpha
         self._theta = topic_factors / topic_factors.sum()
 
     def _infer(self, doc: list[int]) -> np.ndarray:

@@ -5,6 +5,15 @@ primitives: drawing from an unnormalised discrete distribution, and
 sampling the number of occupied tables in a Chinese Restaurant Process
 (used by HDP's table-count resampling).
 
+A training step draws its topic in one of two ways, chosen by the
+step's topic count: :func:`draw_index` on a numpy weight vector, or,
+up to :data:`SCALAR_TOPICS` topics, :func:`draw_scalar` on a list of
+Python floats. With a handful of topics numpy's per-call cost outweighs
+its arithmetic. Both compute the same weights, the same pairwise total
+(:func:`pairwise_total` repeats numpy's summation order) and the same
+inverse CDF, so they draw the same index from the same uniform and a
+fit does not depend on which one ran.
+
 Training LDA and Labeled LDA is the third: :class:`LdaCounts` holds the
 count tables of their collapsed Gibbs sampler and runs its sweeps.
 Folding unseen documents into a fitted model is the fourth:
@@ -25,6 +34,8 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -36,9 +47,12 @@ __all__ = [
     "GibbsIteration",
     "IterationHook",
     "LdaCounts",
+    "SCALAR_TOPICS",
     "draw_index",
+    "draw_scalar",
     "fold_in",
     "notify_iteration",
+    "pairwise_total",
     "sample_index",
     "sample_crp_tables",
 ]
@@ -46,6 +60,12 @@ __all__ = [
 #: Below this many documents, :func:`fold_in` samples each document on
 #: its own: the batched step's fixed cost outweighs the steps it saves.
 MIN_BATCH = 4
+
+#: Most topics a training step samples with :func:`draw_scalar`; with
+#: more, :func:`draw_index`'s numpy step is faster. Measured on BTM and
+#: LDA fits of the benchmark corpus, whose two steps cost the same at
+#: about 17 topics (CPython 3.11, numpy 2.4, 2-vCPU x86 guest).
+SCALAR_TOPICS = 17
 
 
 @dataclass(frozen=True)
@@ -109,12 +129,61 @@ def draw_index(weights: np.ndarray, uniform: float, model: str) -> int:
     whose total is not finite and positive raise
     :class:`SamplingWeightsError` naming ``model`` instead.
     """
-    total = float(np.add.reduce(weights))
+    total = _training_total(float(np.add.reduce(weights)), model)
+    return _inverse_cdf(weights[:-1], uniform * total)
+
+
+def draw_scalar(weights: Sequence[float], uniform: float, model: str) -> int:
+    """:func:`draw_index` for weights held as Python floats.
+
+    The total is :func:`pairwise_total`, numpy's total bit for bit, and
+    the CDF is the same left-to-right running sum, so both draw the same
+    index from the same uniform and raise the same error.
+    """
+    total = _training_total(pairwise_total(weights), model)
+    return bisect_left(list(accumulate(weights[:-1])), uniform * total)
+
+
+def _training_total(total: float, model: str) -> float:
+    """``total``, unless it is not finite and positive."""
     if not 0.0 < total < math.inf:
         raise SamplingWeightsError(
             f"{model} training weights must have a finite, positive total"
         )
-    return _inverse_cdf(weights[:-1], uniform * total)
+    return total
+
+
+def pairwise_total(weights: Sequence[float]) -> float:
+    """``float(np.add.reduce(np.array(weights)))``, summed in Python.
+
+    numpy sums a float64 vector pairwise. Below 8 terms it adds left to
+    right from 0.0. Up to 128 terms it keeps eight running sums, ``r[j]``
+    over ``weights[j::8]`` of the longest prefix whose length is a
+    multiple of 8, adds them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then adds the rest left to right. Longer vectors are
+    split at half their length rounded down to a multiple of 8, and each
+    part summed the same way. This repeats that order, so the rounding
+    and the total are the same. The builtin ``sum`` would not do: from
+    Python 3.12 it compensates float rounding.
+    """
+    n = len(weights)
+    if n < 8:
+        total = 0.0
+        for weight in weights:
+            total += weight
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_total(weights[:half]) + pairwise_total(weights[half:])
+    body = n - n % 8
+    r = weights[:8]
+    for start in range(8, body, 8):
+        r = list(map(add, r, weights[start:start + 8]))
+    r0, r1, r2, r3, r4, r5, r6, r7 = r
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for weight in weights[body:]:
+        total += weight
+    return total
 
 
 def _inverse_cdf(head: np.ndarray, target: float) -> int:
@@ -143,12 +212,20 @@ class LdaCounts:
     with counts excluding token ``i``; Labeled LDA restricts each
     document to its ``allowed`` topics. The counts are Python lists
     (word-major: ``word_counts[w][k]``). Beside them the smoothed
-    factors ``n_kw + β`` (V x K) and ``n_k + Vβ`` are kept as arrays,
-    and when a count changes only its entry is recomputed, by the same
-    float expression as the whole table. A token's weights are then
-    two vector operations on one contiguous word row (plus a gather of
-    the allowed topics) -- the same values as building the conditional
+    factors ``n_kw + β`` (V x K) and ``n_k + Vβ`` are kept, and when a
+    count changes only its entry is recomputed, by the same float
+    expression as the whole table. A token's weights are then two
+    elementwise operations on one word row (plus a gather of the
+    allowed topics) -- the same values as building the conditional
     from the count tables.
+
+    The factors are lists of Python floats, sampled with
+    :func:`draw_scalar`, when no document samples from more than
+    :data:`SCALAR_TOPICS` topics (all ``K`` for LDA, the largest allowed
+    set for Labeled LDA); otherwise they are arrays, sampled with
+    :func:`draw_index`. A fit keeps one form of the tables, so a Labeled
+    LDA corpus whose allowed sets straddle the constant takes the numpy
+    step throughout: near the constant both steps cost about the same.
 
     ``topics[d]`` is document ``d``'s initial topic per token.
     """
@@ -178,51 +255,86 @@ class LdaCounts:
                 counts[topic] += 1
                 self.word_counts[w][topic] += 1
                 self.topic_counts[topic] += 1
-        self.word_factors = np.array(self.word_counts, dtype=float).reshape(
-            vocab_size, n_topics
-        ) + beta
-        self.denominators = np.array(self.topic_counts, dtype=float) + self.v_beta
+        largest = n_topics if allowed is None else max(map(len, allowed), default=0)
+        self.scalar = largest <= SCALAR_TOPICS
+        word_factors, denominators = self._factors()
+        if self.scalar:
+            self.word_rows = word_factors.tolist()
+            self.denominators = denominators.tolist()
+        else:
+            self.word_rows = list(word_factors)
+            self.denominators = denominators
 
-    def sweep(self, uniforms: np.ndarray, model: str) -> None:
-        """Resample every token once, drawing token ``i``'s topic with ``uniforms[i]``."""
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``n_kw + β`` (V x K) and ``n_k + Vβ`` from the counts, as arrays."""
+        word_factors = np.array(self.word_counts, dtype=float).reshape(
+            -1, len(self.topic_counts)
+        ) + self.beta
+        return word_factors, np.array(self.topic_counts, dtype=float) + self.v_beta
+
+    def sweep(self, rng: np.random.Generator, model: str) -> None:
+        """Resample every token once, token ``i`` drawing its topic with
+        the ``i``-th of ``rng.random(n_tokens)``.
+
+        The sweep draws its own uniforms: ``random`` releases the GIL, and
+        a profiler's sample taken there belongs to the sweep.
+        """
         alpha, beta, v_beta = self.alpha, self.beta, self.v_beta
         word_counts, topic_counts = self.word_counts, self.topic_counts
-        word_rows = list(self.word_factors)
-        denominators = self.denominators
-        weights = np.empty(len(topic_counts))
-        draws = iter(uniforms.tolist())
+        word_rows, denominators, scalar = self.word_rows, self.denominators, self.scalar
+        buffer = np.empty(len(topic_counts))
+        draws = iter(rng.random(self.n_tokens).tolist())
         allowed = self.allowed or [None] * len(self.docs)
-
-        def move(counts: list[int], factors: np.ndarray, topic: int, w: int, step: int) -> None:
-            count = counts[topic] + step
-            counts[topic] = count
-            factors[topic] = count + alpha
-            row = word_counts[w]
-            count = row[topic] + step
-            row[topic] = count
-            word_rows[w][topic] = count + beta
-            count = topic_counts[topic] + step
-            topic_counts[topic] = count
-            denominators[topic] = count + v_beta
 
         for doc, z, counts, choices in zip(self.docs, self.topics, self.doc_counts, allowed):
             factors = np.array(counts, dtype=float) + alpha
+            if scalar:
+                factors = factors.tolist()
             if choices is not None:
                 choice_list = choices.tolist()
+            # The count moves are written out, not called: with a few
+            # topics a call per move costs a tenth of the step.
             for i, w in enumerate(doc):
-                move(counts, factors, z[i], w, -1)
-                np.multiply(factors, word_rows[w], weights)
-                np.divide(weights, denominators, weights)
-                if choices is None:
-                    topic = draw_index(weights, next(draws), model)
+                count_row, factor_row = word_counts[w], word_rows[w]
+                topic = z[i]
+                count = counts[topic] - 1
+                counts[topic] = count
+                factors[topic] = count + alpha
+                count = count_row[topic] - 1
+                count_row[topic] = count
+                factor_row[topic] = count + beta
+                count = topic_counts[topic] - 1
+                topic_counts[topic] = count
+                denominators[topic] = count + v_beta
+                if not scalar:
+                    np.multiply(factors, factor_row, buffer)
+                    np.divide(buffer, denominators, buffer)
+                    topic = draw_index(
+                        buffer if choices is None else buffer[choices], next(draws), model
+                    )
+                elif choices is None:
+                    weights = list(map(truediv, map(mul, factors, factor_row), denominators))
+                    topic = draw_scalar(weights, next(draws), model)
                 else:
-                    topic = choice_list[draw_index(weights[choices], next(draws), model)]
+                    weights = [factors[c] * factor_row[c] / denominators[c] for c in choice_list]
+                    topic = draw_scalar(weights, next(draws), model)
+                if choices is not None:
+                    topic = choice_list[topic]
                 z[i] = topic
-                move(counts, factors, topic, w, 1)
+                count = counts[topic] + 1
+                counts[topic] = count
+                factors[topic] = count + alpha
+                count = count_row[topic] + 1
+                count_row[topic] = count
+                factor_row[topic] = count + beta
+                count = topic_counts[topic] + 1
+                topic_counts[topic] = count
+                denominators[topic] = count + v_beta
 
     def phi(self) -> np.ndarray:
         """Topic-word distributions (K x V) under the current counts."""
-        return np.ascontiguousarray((self.word_factors / self.denominators).T)
+        word_factors, denominators = self._factors()
+        return np.ascontiguousarray((word_factors / denominators).T)
 
     def count_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(n_dk, n_kw, n_k)`` as float arrays (D x K, K x V, K)."""

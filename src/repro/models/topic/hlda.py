@@ -36,7 +36,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError, SamplingWeightsError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import FoldIn, draw_index, notify_iteration, sample_index
+from repro.models.topic.gibbs import (
+    FoldIn,
+    draw_index,
+    notify_iteration,
+    pairwise_total,
+    sample_index,
+)
 
 __all__ = ["HldaModel"]
 
@@ -295,15 +301,14 @@ class HldaModel(TopicModel):
             totals[level] = 0.0 if remaining < 0 else remaining
             weights = []
             cdf = []
-            total = 0.0
+            running = 0.0
             for n, node_words, node_total in zip(n_dl, words, totals):
                 weight = (n + alpha) * ((node_words.get(w, 0.0) + beta) / (node_total + v_beta))
                 weights.append(weight)
-                total += weight
-                cdf.append(total)
-            if n_levels >= 8:
-                # numpy's pairwise total is a left-to-right sum only below 8 terms.
-                total = float(np.add.reduce(weights))
+                running += weight
+                cdf.append(running)
+            # The CDF is the running sum; the total is numpy's pairwise one.
+            total = pairwise_total(weights)
             if not 0.0 < total < inf:
                 raise SamplingWeightsError(
                     f"{self.name} level weights must have a finite, positive total"

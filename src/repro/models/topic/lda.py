@@ -85,7 +85,7 @@ class LdaModel(TopicModel):
             self.beta,
         )
         for iteration in range(self.iterations):
-            counts.sweep(rng.random(counts.n_tokens), self.name)
+            counts.sweep(rng, self.name)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations,
                 self._corpus_log_likelihood(docs, *counts.count_arrays(), counts.v_beta)

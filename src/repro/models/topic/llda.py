@@ -118,7 +118,7 @@ class LabeledLdaModel(TopicModel):
             allowed,
         )
         for iteration in range(self.iterations):
-            counts.sweep(rng.random(counts.n_tokens), self.name)
+            counts.sweep(rng, self.name)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations
             )

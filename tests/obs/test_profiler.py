@@ -11,6 +11,7 @@ real Gibbs sampler.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -195,6 +196,14 @@ class TestSamplerLifecycle:
         assert doc["wall_seconds"] >= 0.05
         # Sampling must stay cheap relative to the window it measures.
         assert doc["overhead_ratio"] < 0.5
+
+    def test_sampling_shortens_the_switch_interval_and_restores_it(self):
+        # A short switch interval hands the GIL to the sampling thread
+        # soon after it asks, instead of at the target's next GIL release.
+        before = sys.getswitchinterval()
+        with StackSampler(hz=100.0):
+            assert sys.getswitchinterval() == pytest.approx(min(before, 0.001))
+        assert sys.getswitchinterval() == before
 
 
 class TestAttribution:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import SamplingWeightsError
-from repro.models.topic.gibbs import draw_index, sample_index
+from repro.models.topic.gibbs import draw_index, draw_scalar, pairwise_total, sample_index
 
 #: The largest uniform ``Generator.random`` can return.
 TOP_UNIFORM = 1.0 - 2.0**-53
@@ -98,3 +100,62 @@ class TestDrawIndex:
     def test_degenerate_total_raises_naming_the_model(self, weights):
         with pytest.raises(SamplingWeightsError, match="BTM"):
             draw_index(weights, 0.5, "BTM")
+
+
+#: Every length up to 300, then two past the pairwise split: the
+#: left-to-right sums below 8 terms, the eight running sums up to 128,
+#: and one and two levels of splitting.
+LENGTHS = list(range(1, 301)) + [513, 1024]
+
+
+def numpy_total(weights: list[float]) -> float:
+    return float(np.add.reduce(np.array(weights)))
+
+
+class TestPairwiseTotal:
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_equals_numpy_at_every_length(self, n):
+        # Weights of one magnitude: every rounding step shows in the
+        # total, so a different summation order would too.
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            weights = rng.random(n).tolist()
+            assert pairwise_total(weights) == numpy_total(weights)
+
+    @given(
+        st.sampled_from(LENGTHS),
+        st.integers(-300, 300),
+        st.integers(0, 600),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_from_1e_minus_300_to_1e300(self, n, low, span, seed):
+        # Magnitudes drawn log-uniformly between 10**low and
+        # 10**(low + span), clipped to [1e-300, 1e300].
+        high = min(low + span, 300)
+        exponents = np.random.default_rng(seed).uniform(low, high, n)
+        weights = (10.0 ** exponents).tolist()
+        assert pairwise_total(weights) == numpy_total(weights)
+
+    def test_tuples_sum_like_lists(self):
+        weights = np.random.default_rng(0).random(40).tolist()
+        assert pairwise_total(tuple(weights)) == numpy_total(weights)
+
+
+class TestDrawScalar:
+    @given(
+        arrays(float, st.integers(1, 64), elements=st.floats(0.01, 10)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_draw_index(self, weights, seed):
+        uniform = np.random.default_rng(seed).random()
+        assert draw_scalar(weights.tolist(), uniform, "LDA") == (
+            draw_index(weights, uniform, "LDA")
+        )
+
+    def test_top_uniform_stays_on_the_last_index(self):
+        assert draw_scalar([1 / 3] * 24, TOP_UNIFORM, "LDA") == 23
+
+    @pytest.mark.parametrize("weights", [[0.0] * 3, [1.0, math.nan], [math.inf, 1.0]])
+    def test_degenerate_total_raises_naming_the_model(self, weights):
+        with pytest.raises(SamplingWeightsError, match="LLDA training weights"):
+            draw_scalar(weights, 0.5, "LLDA")

@@ -10,13 +10,20 @@ went. The rewritten samplers store the counts word-major, update only
 the factor entries a move changes and draw a sweep's uniforms in one
 call; they must fit exactly the same model and leave the generator in
 the same state, for any corpus: K on both sides of numpy's pairwise-sum
-threshold (8), empty and single-token documents, repeated words (BTM
-self-biterms), biterm subsampling, and NP and UP pooling.
+threshold (8) and of the scalar step's limit (``SCALAR_TOPICS``),
+empty and single-token documents, repeated words (BTM self-biterms),
+biterm subsampling, and NP and UP pooling.
+
+The references draw with ``gibbs.sample_index``, so a change to a
+helper both sides share would go unseen here; the fits pinned by
+SHA-256 digest at the end of this file guard against that.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import sys
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 
@@ -28,7 +35,12 @@ from hypothesis import strategies as st
 from repro.errors import SamplingWeightsError
 from repro.models.base import TextDoc
 from repro.models.topic.btm import Biterm, BitermTopicModel, extract_biterms
-from repro.models.topic.gibbs import notify_iteration, sample_crp_tables, sample_index
+from repro.models.topic.gibbs import (
+    SCALAR_TOPICS,
+    notify_iteration,
+    sample_crp_tables,
+    sample_index,
+)
 from repro.models.topic.hdp import HdpModel
 from repro.models.topic.hlda import HldaModel, _Node, _PathFoldIn
 from repro.models.topic.labels import LabelExtractor
@@ -425,11 +437,31 @@ corpora = st.lists(
     max_size=12,
 ).filter(lambda docs: any(docs))
 common = dict(
-    k=st.integers(1, 24),
+    k=st.integers(1, SCALAR_TOPICS + 12),
     corpus=corpora,
     pooling=st.sampled_from(["NP", "UP"]),
     seed=st.integers(0, 2**32 - 1),
 )
+
+#: Topic counts every LDA and BTM parity test runs at: both sides of
+#: numpy's eight-term pairwise threshold, of its first split into two
+#: blocks of eight, and of the scalar step's limit.
+EDGE_KS = sorted({7, 8, 9, 16, 17, SCALAR_TOPICS - 1, SCALAR_TOPICS, SCALAR_TOPICS + 1})
+EDGE_CORPUS = [WORDS, ["star", "star", "moon"], [], ["orbit"], WORDS[::-1]]
+#: Documents carrying none to three labels (hashtags, question, emoticon).
+LABELLED_CORPUS = [["star", "moon"], ["#space", "orbit"], ["#space", "?", "bread", "#food"],
+                   ["#food", "?", ":)", "@ann", "rain"]]
+
+
+def at_edge_ks(**args):
+    """One ``@example`` per :data:`EDGE_KS` value, with ``args`` for the rest."""
+
+    def decorate(test):
+        for k in EDGE_KS:
+            test = example(k=k, **args)(test)
+        return test
+
+    return decorate
 
 
 def fit_pair(reference_cls, cls, corpus, pooling, seed, **params):
@@ -453,6 +485,7 @@ def assert_same_fit(reference, model, *attributes):
 @settings(max_examples=40, deadline=None)
 @given(**common)
 @example(k=8, corpus=[["star"], [], ["moon", "moon", "orbit"]], pooling="NP", seed=0)
+@at_edge_ks(corpus=EDGE_CORPUS, pooling="NP", seed=3)
 def test_lda_matches_reference(k, corpus, pooling, seed):
     assert_same_fit(*fit_pair(ReferenceLda, LdaModel, corpus, pooling, seed, n_topics=k))
 
@@ -461,6 +494,11 @@ def test_lda_matches_reference(k, corpus, pooling, seed):
 @given(**common)
 @example(k=1, corpus=[["#space", "star", "?"], ["#space", ":)"], ["@ann"]], pooling="NP",
          seed=1)
+# Allowed sets of k + 0..3 labels: all within the scalar step's limit,
+# straddling it, and all beyond it.
+@example(k=SCALAR_TOPICS - 3, corpus=LABELLED_CORPUS, pooling="NP", seed=5)
+@example(k=SCALAR_TOPICS - 2, corpus=LABELLED_CORPUS, pooling="NP", seed=5)
+@example(k=SCALAR_TOPICS + 1, corpus=LABELLED_CORPUS, pooling="NP", seed=5)
 def test_llda_matches_reference(k, corpus, pooling, seed):
     reference, model = fit_pair(
         ReferenceLlda, LabeledLdaModel, corpus, pooling, seed, n_latent_topics=k,
@@ -474,6 +512,7 @@ def test_llda_matches_reference(k, corpus, pooling, seed):
 @given(**common, max_biterms=st.sampled_from([None, 1, 7, 40]), window=st.integers(1, 4))
 @example(k=9, corpus=[["star", "star", "moon"], ["moon"]], pooling="NP", seed=2,
          max_biterms=None, window=1)
+@at_edge_ks(corpus=EDGE_CORPUS, pooling="NP", seed=4, max_biterms=None, window=3)
 def test_btm_matches_reference(k, corpus, pooling, seed, max_biterms, window):
     assert_same_fit(
         *fit_pair(ReferenceBtm, BitermTopicModel, corpus, pooling, seed, n_topics=k,
@@ -651,6 +690,90 @@ def test_hlda_level_draw_totals_like_numpy_from_eight_levels():
         assert z == [bisect_left(cdf, uniform * pairwise)]
 
 
+class ScriptedRng:
+    """Generator stand-in: the scripted uniforms first, then a seeded
+    generator's draws, and every integer draw from that generator."""
+
+    def __init__(self, seed: int, uniforms: Sequence[float]):
+        self._rng = np.random.default_rng(seed)
+        self._script = list(uniforms)
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        scripted, self._script = self._script[:n], self._script[n:]
+        drawn = scripted + self._rng.random(n - len(scripted)).tolist()
+        return drawn[0] if size is None else np.array(drawn)
+
+
+def last_bit_uniforms(weights: np.ndarray) -> list[float]:
+    """Two uniforms whose draw from ``weights`` changes when numpy's total
+    moves one ulp up (the first) or down (the second)."""
+    total = float(np.add.reduce(weights))
+    cdf = np.add.accumulate(weights[:-1]).tolist()
+    found: dict[float, float] = {}
+    for target in cdf:
+        for u in np.nextafter(target / total, [0.0, 1.0]).tolist() + [target / total]:
+            for direction in (math.inf, 0.0):
+                moved = float(np.nextafter(total, direction))
+                if bisect_left(cdf, u * total) != bisect_left(cdf, u * moved):
+                    found.setdefault(direction, u)
+    assert len(found) == 2, "no uniform tells the total from its neighbours"
+    return [found[math.inf], found[0.0]]
+
+
+def assert_first_draw_totals_like_numpy(reference_cls, cls, corpus, **params):
+    # The reference's first sample_index call sees the first step's
+    # weights. Scripted to sit on a CDF entry, the first uniform draws a
+    # different topic if the total is off by one ulp either way, and
+    # that topic stays in the one-sweep fit.
+    docs = [TextDoc.from_tokens(tokens) for tokens in corpus]
+
+    def fit(model_cls, uniforms):
+        model = model_cls(iterations=1, seed=0, pooling="NP", **params)
+        model._rng = ScriptedRng(9, uniforms)
+        return model.fit(docs)
+
+    seen, draw = [], sample_index
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            sys.modules[__name__], "sample_index",
+            lambda weights, rng: seen.append(weights.copy()) or draw(weights, rng),
+        )
+        fit(reference_cls, [])
+    for uniform in last_bit_uniforms(seen[0]):
+        assert_same_fit(fit(reference_cls, [uniform]), fit(cls, [uniform]))
+
+
+STEP_KS = [5, 12, SCALAR_TOPICS, SCALAR_TOPICS + 1]
+
+
+@pytest.mark.parametrize("k", STEP_KS)
+def test_lda_step_totals_like_numpy(k):
+    assert_first_draw_totals_like_numpy(ReferenceLda, LdaModel, EDGE_CORPUS, n_topics=k)
+
+
+@pytest.mark.parametrize("k", STEP_KS)
+def test_llda_step_totals_like_numpy(k):
+    # The first document carries three labels: its allowed set, the
+    # largest, has k topics.
+    assert_first_draw_totals_like_numpy(
+        ReferenceLlda, LabeledLdaModel, LABELLED_CORPUS[::-1], n_latent_topics=k - 3,
+        label_extractor=LabelExtractor(min_hashtag_count=0),
+    )
+
+
+@pytest.mark.parametrize("k", STEP_KS)
+def test_btm_step_totals_like_numpy(k):
+    assert_first_draw_totals_like_numpy(ReferenceBtm, BitermTopicModel, EDGE_CORPUS, n_topics=k)
+
+
 def live_nodes(node: _Node) -> int:
     return 1 + sum(live_nodes(child) for child in node.children)
 
@@ -734,3 +857,47 @@ def test_hlda_branch_weights_sum_to_one():
     for node in internal:
         children, new = model._branch_weights(node)
         assert math.isclose(math.fsum(children) + new, 1.0)
+
+
+# -- pinned fits ----------------------------------------------------------------
+
+#: SHA-256 over the float64 bytes of φ (then BTM's corpus θ) after ten
+#: sweeps on the first 400 tweets of ``small_dataset``, user-pooled
+#: unless noted. Taken while every training step still drew through
+#: numpy; the scalar step (K <= SCALAR_TOPICS, and LLDA's NP fits, whose
+#: allowed sets hold at most 9 and 15 topics) must reproduce them.
+PINNED_FITS = [
+    (LdaModel, dict(n_topics=6),
+     "0bbf3e5ea5bb212a8bbdffe020fdf739659a8fbf7b87b2d784fb6d9f9d14b9a0"),
+    (LdaModel, dict(n_topics=12),
+     "6a3a11c51c26df0e44abeaf86e2de78af2643e8fbaa0cd9f26b5594ad22521ad"),
+    (LdaModel, dict(n_topics=50),
+     "99c2e27fe33c478c82b5bfde04190ec2b91dad696d4e645482e928527f6d969a"),
+    (LabeledLdaModel, dict(n_latent_topics=6, pooling="NP"),
+     "2dc676d0381961ca7a6f96767e88f46047e2358e01878ea9ec830646dfc2ed98"),
+    (LabeledLdaModel, dict(n_latent_topics=12, pooling="NP"),
+     "15dc9d693c1348ed8c43df9c2ea18417d2215439e93f94685d7f74fa31a640f9"),
+    (LabeledLdaModel, dict(n_latent_topics=50),
+     "e9d3d3a016af2016fba9e60fb35ae6974c64d744963a9fb64ff326cf43c7882d"),
+    (BitermTopicModel, dict(n_topics=6, max_biterms=4000),
+     "fe928fadd86dc10ce5ee4eea2c83cde0a87b7b61517f261b4389319abcdfe852"),
+    (BitermTopicModel, dict(n_topics=12, max_biterms=4000),
+     "3cd111fa8822d61f02f743219e71ec2353268a59cad3a4624ff7cdd44c162ca4"),
+    (BitermTopicModel, dict(n_topics=50, max_biterms=4000),
+     "8ffc2a8c7d9c2d977b10e51ac7d56ddaa134f7f1adbc0464815f0d1fb4d32ab0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, params, digest", PINNED_FITS,
+    ids=[f"{cls.name}-{'-'.join(map(str, params.values()))}" for cls, params, _ in PINNED_FITS],
+)
+def test_fit_matches_pinned_digest(small_dataset, cls, params, digest):
+    tweets = small_dataset.tweets[:400]
+    docs = [TextDoc.from_tokens(tuple(tweet.text.split())) for tweet in tweets]
+    model = cls(iterations=10, seed=3, **{"pooling": "UP", **params})
+    model.fit(docs, user_ids=[str(tweet.author_id) for tweet in tweets])
+    h = hashlib.sha256(np.ascontiguousarray(model.phi).tobytes())
+    if cls is BitermTopicModel:
+        h.update(model.corpus_theta.tobytes())
+    assert h.hexdigest() == digest
