@@ -13,23 +13,17 @@ RPR001    seeded-rng               RNG without an explicit seed
 RPR002    ordered-accumulation     float sums over unordered iterables
 RPR003    wall-clock               wall-clock reads / cache-key purity
 RPR004    error-taxonomy           bare builtin raises in the library
-RPR005    span-hygiene             spans not entered via ``with``
+RPR005    with-only                spans/samplers not entered via ``with``
 RPR006    picklable-spec           unpicklable process-pool specs
-RPR007    resource-span-leak       samplers not entered via ``with``
 RPR008    unbounded-wait           executor waits without a timeout
 RPR009    eventlog-progress        console writes in the sweep machinery
 RPR010    profile-artifact-mutation  in-place writes to ``.profiles``
-RPR011    cache-key-provenance     cache keys fed from undeclared state
-RPR012    fork-safety              worker-reachable global mutation
-RPR013    nondeterminism-reachability  effect chains into stages
-RPR014    profiler-hygiene         stack samplers not entered via ``with``
 RPR900    unused-pragma            stale ``repro: allow[...]`` comment
 ========  =======================  ==================================
 
-RPR011--RPR013 are *whole-program* rules: they run over the assembled
-call graph (:mod:`repro.analysis.graph`) with transitive effect sets
-(:mod:`repro.analysis.effects`) rather than one file at a time, and
-their findings carry the call path that makes them reachable.
+Every rule decides one file at a time. Row-level reproducibility across
+modules and processes (serial vs ``--jobs``, resume vs fresh, replay
+digests) is held by the parity tests, not by the linter.
 
 Suppress a violation with a justified pragma on the flagged line::
 
@@ -41,25 +35,14 @@ heavyweight dependencies are even importable.
 """
 
 from repro.analysis.base import (
-    PROGRAM_RULE_REGISTRY,
     RULE_REGISTRY,
     FileContext,
-    ProgramRule,
     Rule,
     Violation,
-    default_program_rules,
     default_rules,
-    register_program_rule,
     register_rule,
 )
 from repro.analysis.engine import LintReport, find_pragmas, lint_paths, lint_source
-from repro.analysis.graph import (
-    ProgramAnalysis,
-    analysis_to_dot,
-    analysis_to_json,
-    build_analysis,
-    summarize_module,
-)
 from repro.analysis.reporting import (
     JSON_FORMAT_VERSION,
     format_json,
@@ -72,27 +55,17 @@ from repro.analysis import rules_determinism  # noqa: E402,F401  isort: skip
 from repro.analysis import rules_taxonomy  # noqa: E402,F401  isort: skip
 from repro.analysis import rules_telemetry  # noqa: E402,F401  isort: skip
 from repro.analysis import rules_pickle  # noqa: E402,F401  isort: skip
-from repro.analysis import rules_resources  # noqa: E402,F401  isort: skip
 from repro.analysis import rules_concurrency  # noqa: E402,F401  isort: skip
 from repro.analysis import rules_progress  # noqa: E402,F401  isort: skip
 from repro.analysis import rules_profiles  # noqa: E402,F401  isort: skip
-from repro.analysis import rules_profiler  # noqa: E402,F401  isort: skip
-from repro.analysis import rules_wholeprogram  # noqa: E402,F401  isort: skip
 
 __all__ = [
     "JSON_FORMAT_VERSION",
-    "PROGRAM_RULE_REGISTRY",
     "RULE_REGISTRY",
     "FileContext",
     "LintReport",
-    "ProgramAnalysis",
-    "ProgramRule",
     "Rule",
     "Violation",
-    "analysis_to_dot",
-    "analysis_to_json",
-    "build_analysis",
-    "default_program_rules",
     "default_rules",
     "find_pragmas",
     "format_json",
@@ -100,7 +73,5 @@ __all__ = [
     "format_text",
     "lint_paths",
     "lint_source",
-    "register_program_rule",
     "register_rule",
-    "summarize_module",
 ]

@@ -24,16 +24,12 @@ from repro.analysis.names import ImportMap
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "PROGRAM_RULE_REGISTRY",
     "RULE_REGISTRY",
     "UNUSED_PRAGMA_RULE",
     "FileContext",
-    "ProgramRule",
     "Rule",
     "Violation",
-    "default_program_rules",
     "default_rules",
-    "register_program_rule",
     "register_rule",
 ]
 
@@ -57,21 +53,13 @@ class Violation:
     rule: str
     message: str = field(compare=False)
     end_line: int = field(default=0, compare=False)
-    #: For whole-program rules: the call chain (root -> ... -> origin)
-    #: that makes the finding reachable. Empty for per-file rules.
-    chain: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.end_line < self.line:
             object.__setattr__(self, "end_line", self.line)
-        if not isinstance(self.chain, tuple):
-            object.__setattr__(self, "chain", tuple(self.chain))
 
     def format(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-        if self.chain:
-            text += "\n    call path: " + " -> ".join(self.chain)
-        return text
+        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def to_payload(self) -> dict:
         """JSON-serialisable form, for the incremental cache."""
@@ -82,7 +70,6 @@ class Violation:
             "rule": self.rule,
             "message": self.message,
             "end_line": self.end_line,
-            "chain": list(self.chain),
         }
 
     @classmethod
@@ -94,7 +81,6 @@ class Violation:
             rule=payload["rule"],
             message=payload["message"],
             end_line=payload["end_line"],
-            chain=tuple(payload.get("chain", ())),
         )
 
 
@@ -165,47 +151,8 @@ class Rule:
         yield from self.check(ctx)
 
 
-class ProgramRule:
-    """Base class for whole-program rules (RPR011+).
-
-    Unlike :class:`Rule`, a program rule sees the *assembled program* --
-    the call graph, the effect fixed point and the detected roots
-    (a :class:`repro.analysis.graph.ProgramAnalysis`) -- and may anchor
-    findings in any analysed file. Suppression pragmas still apply: the
-    engine matches each finding against the pragmas of the file it is
-    anchored in.
-    """
-
-    #: "RPRnnn" identifier, unique across both registries.
-    id: ClassVar[str]
-    #: Short kebab-case name, e.g. "cache-key-provenance".
-    name: ClassVar[str]
-    #: One-line description of what the rule flags.
-    summary: ClassVar[str]
-    #: The repo invariant the rule protects (shown by ``--list-rules``).
-    invariant: ClassVar[str]
-    #: Program rules analyse the library call graph; findings outside
-    #: ``src/repro`` are dropped when True.
-    library_only: ClassVar[bool] = True
-
-    def check(self, analysis) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def run(self, analysis) -> Iterator[Violation]:
-        """Apply library scoping, then delegate to :meth:`check`."""
-        for violation in self.check(analysis):
-            if self.library_only and "src/repro" not in Path(
-                violation.path
-            ).as_posix():
-                continue
-            yield violation
-
-
 #: id -> rule class, populated by :func:`register_rule` at import time.
 RULE_REGISTRY: dict[str, type[Rule]] = {}
-
-#: id -> program rule class, populated by :func:`register_program_rule`.
-PROGRAM_RULE_REGISTRY: dict[str, type[ProgramRule]] = {}
 
 
 def register_rule(cls: type[Rule]) -> type[Rule]:
@@ -213,41 +160,14 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
     existing = RULE_REGISTRY.get(cls.id)
     if existing is not None and existing is not cls:
         raise ConfigurationError(f"duplicate rule id {cls.id}: {existing} vs {cls}")
-    if cls.id in PROGRAM_RULE_REGISTRY:
-        raise ConfigurationError(
-            f"duplicate rule id {cls.id}: already a program rule"
-        )
     RULE_REGISTRY[cls.id] = cls
     return cls
 
 
-def register_program_rule(cls: type[ProgramRule]) -> type[ProgramRule]:
-    """Class decorator: register a whole-program rule, keyed by its id."""
-    existing = PROGRAM_RULE_REGISTRY.get(cls.id)
-    if existing is not None and existing is not cls:
-        raise ConfigurationError(f"duplicate rule id {cls.id}: {existing} vs {cls}")
-    if cls.id in RULE_REGISTRY:
-        raise ConfigurationError(
-            f"duplicate rule id {cls.id}: already a per-file rule"
-        )
-    PROGRAM_RULE_REGISTRY[cls.id] = cls
-    return cls
-
-
 def default_rules() -> list[Rule]:
-    """One instance of every registered per-file rule, in id order."""
+    """One instance of every registered rule, in id order."""
     # Importing the package registers the built-in rules; this import is
     # intentionally lazy so base.py itself has no rule dependencies.
     import repro.analysis  # noqa: F401
 
     return [RULE_REGISTRY[rule_id]() for rule_id in sorted(RULE_REGISTRY)]
-
-
-def default_program_rules() -> list[ProgramRule]:
-    """One instance of every registered program rule, in id order."""
-    import repro.analysis  # noqa: F401
-
-    return [
-        PROGRAM_RULE_REGISTRY[rule_id]()
-        for rule_id in sorted(PROGRAM_RULE_REGISTRY)
-    ]

@@ -1,20 +1,12 @@
 """Incremental per-file analysis cache, keyed on content hashes.
 
-Whole-tree lint runs spend most of their time parsing and running the
-per-file rules; the whole-program pass over condensed summaries is
-cheap. The cache therefore stores, per file, everything the engine
-derives from its *content alone*:
-
-* the per-file violations that survived pragma suppression,
-* the pragma table and the set of pragma lines the per-file pass used,
-* the :class:`~repro.analysis.graph.ModuleSummary`.
-
-A warm run re-parses only files whose SHA-256 changed; the program pass
-always runs fresh over the (mostly cached) summaries, so cross-module
-findings stay correct even when the edited file is elsewhere in the
-chain. The whole cache is invalidated when the *rule-set signature*
-(engine version + active rule ids) changes -- a new rule must see every
-file.
+Whole-tree lint runs spend their time parsing and running the rules,
+and every rule decides one file at a time. The cache therefore stores,
+per file, its result -- the violations that survived pragma
+suppression (unused-pragma RPR900 findings included) or its parse
+error -- and a warm run re-parses only files whose SHA-256 changed.
+The whole cache is invalidated when the *rule-set signature* (engine
+version + active rule ids) changes -- a new rule must see every file.
 """
 
 from __future__ import annotations

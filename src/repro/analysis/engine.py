@@ -1,24 +1,21 @@
 """The ``reprolint`` engine: file collection, pragmas, rule dispatch.
 
 :func:`lint_paths` walks the given files/directories in sorted order,
-parses each ``*.py`` once, runs every applicable per-file rule over the
-shared :class:`~repro.analysis.base.FileContext`, then assembles the
-condensed module summaries into a whole-program analysis
-(:mod:`repro.analysis.graph`) and runs the program rules over it.
-Per-line suppression pragmas apply to both passes::
+parses each ``*.py`` once and runs every applicable rule over the
+shared :class:`~repro.analysis.base.FileContext`. Each file is decided
+on its own. Per-line suppression pragmas apply::
 
     rng = np.random.default_rng()  # repro: allow[RPR001] -- caller seeds later
 
 A pragma names one or more rules (``allow[RPR002,RPR003]``) and
 suppresses matching violations whose flagged statement covers the
-pragma's line. A pragma that suppresses nothing in *either* pass is
-itself reported as ``RPR900`` (unused-suppression-pragma), so stale
-allowances cannot accumulate.
+pragma's line. A pragma that suppresses nothing is itself reported as
+``RPR900`` (unused-suppression-pragma), so stale allowances cannot
+accumulate.
 
-With ``cache_path`` set, per-file results (violations, pragmas, module
-summary) are cached keyed on content SHA-256 and the active rule-set
-signature; a warm run re-parses only changed files while the
-whole-program pass always runs fresh over the summaries
+With ``cache_path`` set, each file's result (its violations, RPR900
+included, or its parse error) is cached keyed on content SHA-256 and
+the active rule-set signature; a warm run re-parses only changed files
 (:mod:`repro.analysis.cache`).
 
 Exit-code semantics (:attr:`LintReport.exit_code`) are CI-ready:
@@ -39,19 +36,11 @@ from pathlib import Path
 from repro.analysis.base import (
     UNUSED_PRAGMA_RULE,
     FileContext,
-    ProgramRule,
     Rule,
     Violation,
-    default_program_rules,
     default_rules,
 )
 from repro.analysis.cache import AnalysisCache, content_hash
-from repro.analysis.graph import (
-    ModuleSummary,
-    ProgramAnalysis,
-    build_analysis,
-    summarize_module,
-)
 
 __all__ = [
     "LintReport",
@@ -63,7 +52,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate incremental caches when engine semantics change.
-_ENGINE_CACHE_SALT = "reprolint-v2"
+_ENGINE_CACHE_SALT = "reprolint-v3"
 
 #: Matches suppression comments: allow[...] with one or more rule ids
 #: and an optional ``-- justification`` tail.
@@ -114,9 +103,6 @@ class LintReport:
     cache_misses: int = 0
     #: Findings suppressed by a ratchet baseline (set by the CLI layer).
     baselined: int = 0
-    #: The whole-program analysis, for ``--graph`` exports. Not part of
-    #: equality/serialisation; None when no program pass ran.
-    analysis: ProgramAnalysis | None = field(default=None, repr=False)
 
     @property
     def exit_code(self) -> int:
@@ -133,83 +119,50 @@ class LintReport:
         self.baselined += other.baselined
 
 
-def rule_signature(
-    rules: Sequence[Rule], program_rules: Sequence[ProgramRule]
-) -> str:
+def rule_signature(rules: Sequence[Rule]) -> str:
     """Cache signature: engine salt plus the active rule ids."""
-    file_ids = ",".join(sorted(rule.id for rule in rules))
-    program_ids = ",".join(sorted(rule.id for rule in program_rules))
-    return f"{_ENGINE_CACHE_SALT};rules:{file_ids};program:{program_ids}"
-
-
-@dataclass
-class _FileFacts:
-    """Everything one file contributes, from cache or a fresh parse."""
-
-    path: str
-    error: str | None = None
-    violations: list[Violation] = field(default_factory=list)
-    pragmas: list[Pragma] = field(default_factory=list)
-    used_lines: set[int] = field(default_factory=set)
-    summary: ModuleSummary | None = None
-
-    def to_entry(self) -> dict:
-        return {
-            "error": self.error,
-            "violations": [v.to_payload() for v in self.violations],
-            "pragmas": [
-                {"line": p.line, "rules": sorted(p.rules)} for p in self.pragmas
-            ],
-            "used_lines": sorted(self.used_lines),
-            "summary": self.summary.to_dict() if self.summary else None,
-        }
-
-    @classmethod
-    def from_entry(cls, path: str, entry: dict) -> "_FileFacts":
-        return cls(
-            path=path,
-            error=entry.get("error"),
-            violations=[
-                Violation.from_payload(p) for p in entry.get("violations", ())
-            ],
-            pragmas=[
-                Pragma(line=p["line"], rules=frozenset(p["rules"]))
-                for p in entry.get("pragmas", ())
-            ],
-            used_lines=set(entry.get("used_lines", ())),
-            summary=(
-                ModuleSummary.from_dict(entry["summary"])
-                if entry.get("summary")
-                else None
-            ),
-        )
+    return f"{_ENGINE_CACHE_SALT};rules:{','.join(sorted(r.id for r in rules))}"
 
 
 def _analyze_file(
     path: str | Path, source: str, rules: Sequence[Rule]
-) -> _FileFacts:
-    """The per-file pass: parse, rules, pragma suppression, summary."""
-    facts = _FileFacts(path=str(path))
+) -> tuple[str | None, list[Violation]]:
+    """The per-file pass: ``(parse error, violations)`` for one source.
+
+    Violations are what survives pragma suppression, plus one RPR900
+    per pragma that suppressed nothing.
+    """
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as error:
-        facts.error = f"{path}:{error.lineno or 0}: syntax error: {error.msg}"
-        return facts
+        return f"{path}:{error.lineno or 0}: syntax error: {error.msg}", []
 
     ctx = FileContext(path, source, tree)
-    raw: list[Violation] = []
-    for rule in rules:
-        raw.extend(rule.run(ctx))
-
-    facts.pragmas = find_pragmas(source)
-    for violation in sorted(raw):
-        pragma = _matching_pragma(violation, facts.pragmas)
+    pragmas = find_pragmas(source)
+    used: set[int] = set()
+    violations: list[Violation] = []
+    for violation in sorted(v for rule in rules for v in rule.run(ctx)):
+        pragma = _matching_pragma(violation, pragmas)
         if pragma is not None:
-            facts.used_lines.add(pragma.line)
+            used.add(pragma.line)
         else:
-            facts.violations.append(violation)
-    facts.summary = summarize_module(tree, path, facts.pragmas)
-    return facts
+            violations.append(violation)
+    for pragma in pragmas:
+        if pragma.line not in used:
+            violations.append(
+                Violation(
+                    path=str(path),
+                    line=pragma.line,
+                    col=0,
+                    rule=UNUSED_PRAGMA_RULE,
+                    message=(
+                        "suppression pragma allows "
+                        f"[{', '.join(sorted(pragma.rules))}] but "
+                        "suppresses nothing on this line -- remove it"
+                    ),
+                )
+            )
+    return None, violations
 
 
 def _matching_pragma(
@@ -224,75 +177,18 @@ def _matching_pragma(
     return None
 
 
-def _run_program_pass(
-    facts: Sequence[_FileFacts],
-    program_rules: Sequence[ProgramRule],
-    report: LintReport,
-) -> None:
-    """Assemble the program, run program rules, finish RPR900."""
-    summaries = [f.summary for f in facts if f.summary is not None]
-    analysis = build_analysis(summaries) if summaries else None
-    report.analysis = analysis
-
-    pragmas_by_path = {f.path: f.pragmas for f in facts}
-    used_by_path = {f.path: set(f.used_lines) for f in facts}
-
-    if analysis is not None:
-        for rule in program_rules:
-            for violation in rule.run(analysis):
-                pragma = _matching_pragma(
-                    violation, pragmas_by_path.get(violation.path, ())
-                )
-                if pragma is not None:
-                    used_by_path.setdefault(violation.path, set()).add(pragma.line)
-                else:
-                    report.violations.append(violation)
-
-    for file_facts in facts:
-        used = used_by_path.get(file_facts.path, set())
-        for pragma in file_facts.pragmas:
-            if pragma.line not in used:
-                report.violations.append(
-                    Violation(
-                        path=file_facts.path,
-                        line=pragma.line,
-                        col=0,
-                        rule=UNUSED_PRAGMA_RULE,
-                        message=(
-                            "suppression pragma allows "
-                            f"[{', '.join(sorted(pragma.rules))}] but "
-                            "suppresses nothing on this line -- remove it"
-                        ),
-                    )
-                )
-
-
 def lint_source(
     source: str,
     path: str | Path,
     rules: Sequence[Rule] | None = None,
-    program_rules: Sequence[ProgramRule] | None = None,
 ) -> LintReport:
-    """Lint one in-memory source text as if it lived at ``path``.
-
-    The program pass runs over the single module, so whole-program rules
-    that only need intra-file facts (a key call reading a module global)
-    still fire. When ``rules`` is given explicitly but ``program_rules``
-    is not, only the requested per-file rules run -- matching how rule
-    unit tests isolate one rule at a time.
-    """
+    """Lint one in-memory source text as if it lived at ``path``."""
     active_rules = list(rules) if rules is not None else default_rules()
-    if program_rules is not None:
-        active_program_rules = list(program_rules)
-    else:
-        active_program_rules = default_program_rules() if rules is None else []
     report = LintReport(files_checked=1)
-    facts = _analyze_file(path, source, active_rules)
-    if facts.error is not None:
-        report.errors.append(facts.error)
-        return report
-    report.violations.extend(facts.violations)
-    _run_program_pass([facts], active_program_rules, report)
+    error, violations = _analyze_file(path, source, active_rules)
+    if error is not None:
+        report.errors.append(error)
+    report.violations.extend(violations)
     report.violations.sort()
     return report
 
@@ -321,14 +217,10 @@ def collect_files(paths: Sequence[str | Path]) -> tuple[list[Path], list[str]]:
 def lint_paths(
     paths: Sequence[str | Path],
     rules: Sequence[Rule] | None = None,
-    program_rules: Sequence[ProgramRule] | None = None,
     cache_path: str | Path | None = None,
 ) -> LintReport:
     """Lint every ``*.py`` under ``paths`` and aggregate one report."""
     active_rules = list(rules) if rules is not None else default_rules()
-    active_program_rules = (
-        list(program_rules) if program_rules is not None else default_program_rules()
-    )
     files, errors = collect_files(paths)
     report = LintReport(errors=errors)
     if not files:
@@ -340,11 +232,8 @@ def lint_paths(
 
     cache: AnalysisCache | None = None
     if cache_path is not None:
-        cache = AnalysisCache.load(
-            cache_path, rule_signature(active_rules, active_program_rules)
-        )
+        cache = AnalysisCache.load(cache_path, rule_signature(active_rules))
 
-    all_facts: list[_FileFacts] = []
     for file in files:
         try:
             source = file.read_text(encoding="utf-8")
@@ -352,23 +241,25 @@ def lint_paths(
             report.errors.append(f"{file}: {error}")
             continue
         report.files_checked += 1
-        facts: _FileFacts | None = None
         digest = content_hash(source) if cache is not None else ""
-        if cache is not None:
-            entry = cache.lookup(file, digest)
-            if entry is not None:
-                facts = _FileFacts.from_entry(str(file), entry)
-        if facts is None:
-            facts = _analyze_file(file, source, active_rules)
+        entry = cache.lookup(file, digest) if cache is not None else None
+        if entry is not None:
+            parse_error = entry["error"]
+            violations = [Violation.from_payload(v) for v in entry["violations"]]
+        else:
+            parse_error, violations = _analyze_file(file, source, active_rules)
             if cache is not None:
-                cache.store(file, digest, facts.to_entry())
-        if facts.error is not None:
-            report.errors.append(facts.error)
-            continue
-        report.violations.extend(facts.violations)
-        all_facts.append(facts)
-
-    _run_program_pass(all_facts, active_program_rules, report)
+                cache.store(
+                    file,
+                    digest,
+                    {
+                        "error": parse_error,
+                        "violations": [v.to_payload() for v in violations],
+                    },
+                )
+        if parse_error is not None:
+            report.errors.append(parse_error)
+        report.violations.extend(violations)
 
     if cache is not None:
         report.cache_hits = cache.hits

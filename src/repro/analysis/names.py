@@ -1,4 +1,4 @@
-"""Import-aware name resolution for AST rules and the call graph.
+"""Import-aware name resolution for AST rules.
 
 Rules match call sites by *canonical dotted name* --
 ``numpy.random.default_rng`` -- regardless of how the module spelled the
@@ -11,25 +11,15 @@ attribute chain back to that binding.
 canonical ``datetime.datetime``, so ``datetime.now()`` and
 ``datetime.datetime.now()`` both resolve to ``datetime.datetime.now``.
 
-The whole-program analyzer (:mod:`repro.analysis.graph`) needs two
-extensions the per-file rules never did:
-
-* **relative imports** -- ``from .stages import artifact_key`` inside
-  ``repro.core.pipeline`` must canonicalise to
-  ``repro.core.stages.artifact_key``, which requires knowing the
-  importing module's own dotted name
-  (:func:`module_name_for_path`);
-* **star imports** -- ``from x import *`` binds names the per-file pass
-  cannot enumerate, so the map records the starred module and the
-  program-level resolver consults that module's definitions.
+Relative imports and ``from x import *`` bind nothing: one file alone
+cannot say what they name.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-__all__ = ["ImportMap", "module_name_for_path"]
+__all__ = ["ImportMap"]
 
 #: from-imports of these names resolve to a canonical class path, so the
 #: two import spellings converge on one dotted name.
@@ -39,69 +29,15 @@ _CLASS_CANONICAL = {
 }
 
 
-def module_name_for_path(path: str | Path) -> tuple[str, bool]:
-    """Dotted module name of ``path``, derived from package structure.
-
-    Walks parent directories while they contain ``__init__.py``, so
-    ``src/repro/core/stages.py`` becomes ``repro.core.stages`` and
-    ``src/repro/analysis/__init__.py`` becomes ``repro.analysis``.
-    Returns ``(module_name, is_package)`` where ``is_package`` marks a
-    package ``__init__`` file. A file outside any package resolves to
-    its bare stem, which keeps single-file fixtures analysable.
-    """
-    path = Path(path)
-    is_package = path.name == "__init__.py"
-    parts: list[str] = [] if is_package else [path.stem]
-    current = path.parent
-    while current.name and (current / "__init__.py").exists():
-        parts.insert(0, current.name)
-        parent = current.parent
-        if parent == current:
-            break
-        current = parent
-    if not parts:
-        parts = [path.stem]
-    return ".".join(parts), is_package
-
-
-def _resolve_relative(module: str, is_package: bool, node: ast.ImportFrom) -> str | None:
-    """Absolute target module of a relative import, or None if unknown."""
-    parts = module.split(".")
-    # ``from . import x`` inside package module a.b.c refers to a.b; the
-    # package __init__ itself counts as one level shallower.
-    keep = len(parts) - node.level + (1 if is_package else 0)
-    if keep < 0:
-        return None
-    prefix = ".".join(parts[:keep])
-    if node.module:
-        return f"{prefix}.{node.module}" if prefix else node.module
-    return prefix or None
-
-
 class ImportMap:
     """Maps local names to the canonical dotted path they import."""
 
-    def __init__(self, aliases: dict[str, str], star_imports: list[str] | None = None):
+    def __init__(self, aliases: dict[str, str]):
         self.aliases = aliases
-        #: Modules imported via ``from x import *``, in source order.
-        #: Their bindings are unknowable per-file; the program-level
-        #: resolver falls back to them when a bare name has no alias.
-        self.star_imports = star_imports if star_imports is not None else []
 
     @classmethod
-    def from_tree(
-        cls,
-        tree: ast.Module,
-        module: str | None = None,
-        is_package: bool = False,
-    ) -> "ImportMap":
-        """Build the map; ``module`` enables relative-import resolution.
-
-        Without ``module`` (the per-file rule default), relative imports
-        cannot be anchored and are skipped, exactly as before.
-        """
+    def from_tree(cls, tree: ast.Module) -> "ImportMap":
         aliases: dict[str, str] = {}
-        star_imports: list[str] = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -112,25 +48,16 @@ class ImportMap:
                         top = alias.name.split(".", 1)[0]
                         aliases[top] = top
             elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    if module is None:
-                        continue
-                    target = _resolve_relative(module, is_package, node)
-                    if target is None:
-                        continue
-                elif node.module:
-                    target = node.module
-                else:
+                if node.level or not node.module:
                     continue
                 for alias in node.names:
                     if alias.name == "*":
-                        star_imports.append(target)
                         continue
                     canonical = _CLASS_CANONICAL.get(
-                        (target, alias.name), f"{target}.{alias.name}"
+                        (node.module, alias.name), f"{node.module}.{alias.name}"
                     )
                     aliases[alias.asname or alias.name] = canonical
-        return cls(aliases, star_imports)
+        return cls(aliases)
 
     def resolve(self, node: ast.expr) -> str | None:
         """Canonical dotted name of ``node``, or None if not import-rooted.

@@ -5,20 +5,20 @@ order, keys sorted), so CI can diff two runs or gate on
 ``.violations | length`` without worrying about ordering noise::
 
     {
-      "version": 2,
+      "version": 3,
       "files_checked": 170,
       "violations": [
         {"file": "src/repro/x.py", "line": 12, "col": 4,
-         "rule": "RPR013", "message": "...",
-         "call_path": ["repro.core.stages.fit_model", "repro.models.x._draw"]}
+         "rule": "RPR001", "message": "..."}
       ],
       "errors": [],
       "cache": {"hits": 168, "misses": 2},
       "baselined": 0
     }
 
-Version 2 added ``call_path`` per violation (empty for per-file rules)
-plus the ``cache`` and ``baselined`` summary fields.
+Version 2 added the ``cache`` and ``baselined`` summary fields; version
+3 dropped the per-violation ``call_path``, which only whole-program
+rules filled.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
-from repro.analysis.base import ProgramRule, Rule
+from repro.analysis.base import Rule
 from repro.analysis.engine import LintReport
 
 __all__ = ["JSON_FORMAT_VERSION", "format_json", "format_rules", "format_text"]
 
 #: Format marker for the JSON output document.
-JSON_FORMAT_VERSION = 2
+JSON_FORMAT_VERSION = 3
 
 
 def format_text(report: LintReport) -> str:
@@ -73,7 +73,6 @@ def format_json(report: LintReport) -> str:
                 "col": violation.col,
                 "rule": violation.rule,
                 "message": violation.message,
-                "call_path": list(violation.chain),
             }
             for violation in report.violations
         ],
@@ -84,16 +83,11 @@ def format_json(report: LintReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def format_rules(rules: Sequence[Rule | ProgramRule]) -> str:
+def format_rules(rules: Sequence[Rule]) -> str:
     """The ``--list-rules`` table: id, name, scope, invariant."""
     lines = []
     for rule in rules:
-        if isinstance(rule, ProgramRule):
-            scope = "whole-program"
-        elif rule.library_only:
-            scope = "src/repro"
-        else:
-            scope = "all code"
+        scope = "src/repro" if rule.library_only else "all code"
         lines.append(f"{rule.id}  {rule.name}  [{scope}]")
         lines.append(f"    flags: {rule.summary}")
         lines.append(f"    protects: {rule.invariant}")

@@ -669,25 +669,21 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     # Lazy import: the linter is stdlib-only and must stay importable
     # (and fast) even where the numeric stack is broken.
-    from pathlib import Path
-
-    from repro.analysis import default_program_rules, default_rules, lint_paths
+    from repro.analysis import default_rules, lint_paths
     from repro.analysis.baseline import (
         apply_baseline,
         load_baseline,
         write_baseline,
     )
-    from repro.analysis.graph import analysis_to_dot, analysis_to_json
     from repro.analysis.reporting import format_json, format_rules, format_text
     from repro.errors import ConfigurationError
 
     rules = default_rules()
-    program_rules = default_program_rules()
     if args.list_rules:
-        print(format_rules([*rules, *program_rules]))
+        print(format_rules(rules))
         return 0
 
-    known = {rule.id for rule in rules} | {rule.id for rule in program_rules}
+    known = {rule.id for rule in rules}
     selected = set(args.select or ())
     ignored = {
         rule_id
@@ -697,8 +693,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     }
     # RPR900 (stale pragma) is synthesized by the engine rather than
     # registered, so it cannot be selected -- but it can be ignored,
-    # e.g. when linting one file of a tree whose pragmas are only used
-    # at whole-program scope.
+    # e.g. under --select, where pragmas for rules that did not run
+    # suppress nothing.
     for label, requested, legal in (
         ("--select", selected, known),
         ("--ignore", ignored, known | {"RPR900"}),
@@ -717,42 +713,19 @@ def cmd_lint(args: argparse.Namespace) -> int:
         )
     if selected:
         rules = [rule for rule in rules if rule.id in selected]
-        program_rules = [rule for rule in program_rules if rule.id in selected]
     if ignored:
         rules = [rule for rule in rules if rule.id not in ignored]
-        program_rules = [
-            rule for rule in program_rules if rule.id not in ignored
-        ]
 
     if args.update_baseline and not args.baseline:
         raise ConfigurationError("--update-baseline requires --baseline PATH")
 
-    report = lint_paths(
-        args.paths,
-        rules=rules,
-        program_rules=program_rules,
-        cache_path=args.cache,
-    )
+    report = lint_paths(args.paths, rules=rules, cache_path=args.cache)
     if "RPR900" in ignored:
         report.violations = [
             violation
             for violation in report.violations
             if violation.rule != "RPR900"
         ]
-
-    if args.graph and report.analysis is not None:
-        graph_path = Path(args.graph)
-        if graph_path.suffix == ".dot":
-            graph_path.write_text(
-                analysis_to_dot(report.analysis), encoding="utf-8"
-            )
-        else:
-            import json as _json
-
-            graph_path.write_text(
-                _json.dumps(analysis_to_json(report.analysis), indent=2),
-                encoding="utf-8",
-            )
 
     if args.baseline:
         if args.update_baseline:
@@ -1018,11 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--update-baseline", action="store_true",
         help="rewrite --baseline with the current findings and exit 0",
-    )
-    p_lint.add_argument(
-        "--graph", metavar="OUT",
-        help="export the whole-program call graph and per-function effect "
-             "report (.dot for Graphviz, anything else for JSON)",
     )
     p_lint.add_argument(
         "--cache", nargs="?", const=".reprolint-cache.json", default=None,

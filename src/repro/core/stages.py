@@ -83,7 +83,7 @@ def stage_gate(gate: Callable[[str], None]) -> Iterator[None]:
     raise (or never return) -- that is the point: they are how the
     fault injector makes a stage fail, stall or bloat on demand.
     """
-    _STAGE_GATES.append(gate)  # repro: allow[RPR012] -- scoped to this with-block and removed in finally; gates are per-process hooks, never results
+    _STAGE_GATES.append(gate)
     try:
         yield
     finally:

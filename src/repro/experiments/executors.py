@@ -193,6 +193,8 @@ class CellOutcome:
 #: One pipeline / config index per worker process, keyed by spec; a
 #: worker evaluates many cells of the same sweep and must prepare each
 #: source's corpus only once (the whole point of the staged engine).
+#: Both are pure rebuilds from the picklable spec, identical in every
+#: worker, and never flow back to the parent.
 _WORKER_PIPELINES: dict[PipelineSpec, ExperimentPipeline] = {}
 _WORKER_INDEXES: dict[GridSpec, dict[tuple[str, str], ModelConfig]] = {}
 
@@ -201,7 +203,7 @@ def _worker_pipeline(spec: PipelineSpec) -> ExperimentPipeline:
     pipeline = _WORKER_PIPELINES.get(spec)
     if pipeline is None:
         pipeline = spec.build()
-        _WORKER_PIPELINES[spec] = pipeline  # repro: allow[RPR012] -- per-process memo of a pure rebuild from the picklable spec; never flows back to the parent
+        _WORKER_PIPELINES[spec] = pipeline
     return pipeline
 
 
@@ -212,7 +214,7 @@ def _worker_index(spec: GridSpec) -> dict[tuple[str, str], ModelConfig]:
             (config.model, canonical_params(config.params)): config
             for config in spec.build().iter_all()
         }
-        _WORKER_INDEXES[spec] = index  # repro: allow[RPR012] -- per-process memo derived deterministically from the grid spec; identical in every worker
+        _WORKER_INDEXES[spec] = index
     return index
 
 

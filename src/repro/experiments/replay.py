@@ -357,15 +357,13 @@ def _eligible(pipeline: ExperimentPipeline, spec: ReplaySpec) -> tuple[int, ...]
     return users
 
 
-def _replay_model(
+def _replay_users(
     pipeline: ExperimentPipeline,
     spec: ReplaySpec,
-    config: ModelConfig,
-    corpus_users: tuple[int, ...],
+    fitted: FittedModel,
     replay_users: Sequence[int],
 ) -> tuple[UserReplay, ...]:
-    """Replay a user subset against one freshly fitted configuration."""
-    fitted = _fit_for_replay(pipeline, spec, config, corpus_users)
+    """Replay a user subset against one fitted configuration."""
     results = []
     for uid in replay_users:
         docs, labels, keys = pipeline.profile_inputs(fitted, uid)
@@ -373,6 +371,32 @@ def _replay_model(
             _replay_user(fitted.model, uid, docs, labels, keys, spec.chunk_size)
         )
     return tuple(results)
+
+
+def _model_replay(
+    spec: ReplaySpec,
+    config: ModelConfig,
+    users: tuple[UserReplay, ...],
+    tel: Telemetry,
+) -> ModelReplay:
+    """One model's merged result, counted and announced on ``tel``."""
+    replay = ModelReplay(
+        model=config.model,
+        source=spec.source,
+        params=dict(config.params),
+        users=users,
+    )
+    tel.count("replay.users", len(users))
+    tel.count("replay.updates", sum(u.updates for u in users))
+    tel.emit(
+        "replay_model_done",
+        model=replay.model,
+        source=replay.source,
+        exact=replay.exact,
+        max_delta=replay.max_delta,
+        speedup=replay.speedup,
+    )
+    return replay
 
 
 # -- worker plumbing (``--jobs``) ------------------------------------------
@@ -415,13 +439,7 @@ def _replay_worker(
     if fitted is None:
         fitted = _fit_for_replay(pipeline, spec, config, corpus_users)
         _REPLAY_FITS[fit_key] = fitted
-    results = []
-    for uid in replay_users:
-        docs, labels, keys = pipeline.profile_inputs(fitted, uid)
-        results.append(
-            _replay_user(fitted.model, uid, docs, labels, keys, spec.chunk_size)
-        )
-    return tuple(results)
+    return _replay_users(pipeline, spec, fitted, replay_users)
 
 
 def _partition(users: tuple[int, ...], jobs: int) -> list[tuple[int, ...]]:
@@ -464,24 +482,9 @@ def run_replay(
         results = []
         for config in configs:
             with tel.span("replay_model", model=config.model, source=spec.source):
-                users = _replay_model(pipeline, spec, config, corpus_users, corpus_users)
-            replay = ModelReplay(
-                model=config.model,
-                source=spec.source,
-                params=dict(config.params),
-                users=users,
-            )
-            tel.count("replay.users", len(users))
-            tel.count("replay.updates", sum(u.updates for u in users))
-            tel.emit(
-                "replay_model_done",
-                model=replay.model,
-                source=replay.source,
-                exact=replay.exact,
-                max_delta=replay.max_delta,
-                speedup=replay.speedup,
-            )
-            results.append(replay)
+                fitted = _fit_for_replay(pipeline, spec, config, corpus_users)
+                users = _replay_users(pipeline, spec, fitted, corpus_users)
+            results.append(_model_replay(spec, config, users, tel))
         return results
 
     # Eligibility is deterministic in the dataset config and split
@@ -514,21 +517,5 @@ def run_replay(
                     for handle in handles
                     for user in handle.get(timeout=REPLAY_TASK_TIMEOUT_SECONDS)
                 )
-            replay = ModelReplay(
-                model=config.model,
-                source=spec.source,
-                params=dict(config.params),
-                users=users,
-            )
-            tel.count("replay.users", len(users))
-            tel.count("replay.updates", sum(u.updates for u in users))
-            tel.emit(
-                "replay_model_done",
-                model=replay.model,
-                source=replay.source,
-                exact=replay.exact,
-                max_delta=replay.max_delta,
-                speedup=replay.speedup,
-            )
-            results.append(replay)
+            results.append(_model_replay(spec, config, users, tel))
     return results

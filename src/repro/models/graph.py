@@ -94,7 +94,8 @@ class _GramTable:
 # index, so all live graphs share one table, and its grams are freed
 # with the last graph that uses them instead of living as long as the
 # process. Not thread-safe: graphs are built on one thread per process
-# (parallel sweeps use worker processes).
+# (parallel sweeps use worker processes). Ids never leave this module
+# (edges() and pickles carry strings), so every worker's table may differ.
 _live_table: weakref.ref[_GramTable] | None = None
 
 
@@ -103,7 +104,7 @@ def _table() -> _GramTable:
     table = _live_table() if _live_table is not None else None
     if table is None:
         table = _GramTable()
-        _live_table = weakref.ref(table)  # repro: allow[RPR012] -- weak handle on the per-process n-gram id table; ids never leave graph.py (edges() and pickles carry strings), so every worker's table may differ
+        _live_table = weakref.ref(table)
     return table
 
 

@@ -25,8 +25,8 @@ a serial one.
 The sampler is a context manager and must be entered with ``with`` (or
 ``ExitStack.enter_context``): the sampling thread starts on
 ``__enter__`` and is joined on ``__exit__``, so sampling can never
-outlive the run it measures (reprolint RPR014 enforces the idiom,
-mirroring RPR005/RPR007). One sampler may be active per process at a
+outlive the run it measures (reprolint RPR005 enforces the idiom, as
+for spans and resource samplers). One sampler may be active per process at a
 time; its own cost is accounted in ``sample_seconds`` so overhead
 (:attr:`Profile.overhead_ratio`) is part of every profile document and
 can be gated in CI.
@@ -319,7 +319,7 @@ class StackSampler:
         """Whether the background thread is currently running."""
         return self._thread is not None
 
-    # -- lifecycle (context manager only; see RPR014) ----------------------
+    # -- lifecycle (context manager only; see RPR005) ----------------------
 
     def __enter__(self) -> "StackSampler":
         global _ACTIVE_SAMPLER

@@ -12,7 +12,7 @@ efficiency discussion (Figure 7 and the PLSA exclusion) needs.
 The sampler is a context manager and must be entered with ``with``:
 the background thread starts on ``__enter__`` and is joined on
 ``__exit__``, so a sampler can never outlive the run it measures
-(reprolint RPR007 enforces the idiom). Outside the ``with`` block a
+(reprolint RPR005 enforces the idiom). Outside the ``with`` block a
 watch still works degraded -- it records the boundary samples taken at
 watch start and stop, so short-lived use never crashes, it just loses
 the between-boundaries peaks.
@@ -20,7 +20,7 @@ the between-boundaries peaks.
 The third question -- *which frames inside the phase* burn the time --
 is answered by the stack-sampling profiler in
 :mod:`repro.obs.profiler`, which follows the same background-thread,
-context-manager-only design (its rule is RPR014).
+context-manager-only design under the same rule.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class ResourceSampler:
         """Whether the background thread is currently running."""
         return self._thread is not None
 
-    # -- lifecycle (context manager only; see RPR007) ----------------------
+    # -- lifecycle (context manager only; see RPR005) ----------------------
 
     def __enter__(self) -> "ResourceSampler":
         if self._thread is not None:

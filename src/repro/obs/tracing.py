@@ -146,7 +146,7 @@ class Tracer:
         parent = self.current
         (parent.children if parent is not None else self.roots).append(span)
         self._stack.append(span)
-        thread_spans = _THREAD_SPANS.setdefault(threading.get_ident(), [])  # repro: allow[RPR012] -- per-thread span registry; worker-local state that never crosses the process boundary
+        thread_spans = _THREAD_SPANS.setdefault(threading.get_ident(), [])
         thread_spans.append(name)
         watch = self.resources.watch() if self.resources is not None else None
         start = time.perf_counter()

@@ -41,7 +41,6 @@ class TestJson:
                 "col",
                 "rule",
                 "message",
-                "call_path",
             }
         assert [v["rule"] for v in payload["violations"]] == ["RPR003", "RPR004"]
         assert payload["violations"][0]["file"] == LIB_PATH
@@ -74,10 +73,3 @@ class TestListRules:
         for rule in default_rules():
             assert rule.id in catalogue
             assert rule.name in catalogue
-
-    def test_program_rules_marked_whole_program(self):
-        from repro.analysis.base import default_program_rules
-
-        catalogue = format_rules(default_program_rules())
-        assert "RPR011" in catalogue
-        assert "[whole-program]" in catalogue

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis import lint_source
 from repro.analysis.base import RULE_REGISTRY, default_rules
 
@@ -250,189 +252,71 @@ class TestErrorTaxonomy:
         assert rules_hit('raise ValueError("x")\n', path=APP_PATH) == []
 
 
-class TestSpanHygiene:
-    def test_flags_span_outside_with(self):
-        (violation,) = lint(
-            """
-            def run(tracer):
-                tracer.span("train")
-            """
-        ).violations
+#: RPR005's tracked callables: the import that binds the name, a call,
+#: the call spelled through a module or receiver chain, and one of the
+#: entry's own delegation names.
+TRACKED = [
+    pytest.param("", 'tracer.span("train")', 'self.tracer.span("train")',
+                 "span", id="span"),
+    pytest.param("from repro.obs.resources import ResourceSampler",
+                 "ResourceSampler(interval=0.01)",
+                 "resources.ResourceSampler()", "resource_sampler",
+                 id="ResourceSampler"),
+    pytest.param("from repro.obs.profiler import StackSampler",
+                 "StackSampler(hz=97.0)", "profiler.StackSampler()",
+                 "stack_sampler", id="StackSampler"),
+]
+
+#: (function def, flagged?); the tracked call is on the def's second line.
+WITH_ONLY_CASES = [
+    pytest.param("def run(tracer, stack):\n    obj = {call}\n    return obj",
+                 True, id="bare"),
+    pytest.param("def run(tracer, stack):\n    with {call} as obj:\n        return obj",
+                 False, id="with"),
+    pytest.param("def run(tracer, stack):\n    return stack.enter_context({call})",
+                 False, id="enter_context"),
+    pytest.param("def {delegation}(tracer, stack):\n    return {call}",
+                 False, id="delegation_return"),
+    pytest.param("def start(tracer, stack):\n    return {call}",
+                 True, id="other_return"),
+    pytest.param("def run(self):\n    return {qualified}",
+                 True, id="qualified"),
+    pytest.param("def start(tracer, stack):\n    return {call}  "
+                 "# repro: allow[RPR005] -- fixture keeps a raw one",
+                 False, id="pragma"),
+]
+
+
+class TestWithOnly:
+    """RPR005: spans, ResourceSamplers and StackSamplers enter via `with`."""
+
+    @pytest.mark.parametrize("function, flagged", WITH_ONLY_CASES)
+    @pytest.mark.parametrize("imports, call, qualified, delegation", TRACKED)
+    def test_verdict(self, imports, call, qualified, delegation, function, flagged):
+        source = "\n".join([
+            "from repro.obs import profiler, resources",
+            imports,
+            function.format(call=call, qualified=qualified, delegation=delegation),
+        ])
+        report = lint_source(source, LIB_PATH)
+        if not flagged:
+            assert report.violations == []
+            return
+        (violation,) = report.violations
         assert violation.rule == "RPR005"
-        assert violation.line == 3
+        assert violation.line == 4
+        assert "outside a `with` statement" in violation.message
 
-    def test_with_statement_is_clean(self):
-        assert rules_hit(
-            """
-            def run(tracer):
-                with tracer.span("train"):
-                    pass
-            """
-        ) == []
-
-    def test_delegating_span_facade_is_clean(self):
-        # Telemetry.span forwards to its tracer: allowed.
-        assert rules_hit(
-            """
-            class Telemetry:
-                def span(self, name):
-                    return self.tracer.span(name)
-            """
-        ) == []
-
-    def test_non_delegating_return_still_flagged(self):
-        assert rules_hit(
-            """
-            def start(tracer):
-                return tracer.span("leaked")
-            """
-        ) == ["RPR005"]
-
-
-class TestResourceSpanLeak:
-    def test_flags_sampler_outside_with(self):
-        (violation,) = lint(
-            """
-            from repro.obs.resources import ResourceSampler
-
-            def run():
-                sampler = ResourceSampler()
-                return sampler
-            """
-        ).violations
-        assert violation.rule == "RPR007"
-        assert violation.line == 5
-
-    def test_with_statement_is_clean(self):
-        assert rules_hit(
-            """
-            from repro.obs import ResourceSampler
-
-            def run():
-                with ResourceSampler(interval=0.01) as sampler:
-                    return sampler.watch()
-            """
-        ) == []
-
-    def test_enter_context_is_clean(self):
-        assert rules_hit(
-            """
-            from repro.obs.resources import ResourceSampler
-
-            def run(stack):
-                return stack.enter_context(ResourceSampler())
-            """
-        ) == []
-
-    def test_aliased_import_still_flagged(self):
-        assert rules_hit(
-            """
-            from repro.obs import resources
-
-            def run():
-                return resources.ResourceSampler()
-            """
-        ) == ["RPR007"]
-
-    def test_delegating_factory_is_clean(self):
-        # Mirrors RPR005: a function named for delegation may return an
-        # un-entered sampler for its caller to enter.
-        assert rules_hit(
-            """
-            from repro.obs.resources import ResourceSampler
-
-            def resource_sampler(interval):
-                return ResourceSampler(interval=interval)
-            """
-        ) == []
-
-    def test_non_delegating_return_still_flagged(self):
-        assert rules_hit(
-            """
-            from repro.obs.resources import ResourceSampler
-
-            def start():
-                return ResourceSampler()
-            """
-        ) == ["RPR007"]
-
-
-class TestProfilerHygiene:
-    def test_flags_sampler_outside_with(self):
-        (violation,) = lint(
-            """
-            from repro.obs.profiler import StackSampler
-
-            def run():
-                sampler = StackSampler(hz=97.0)
-                return sampler
-            """
-        ).violations
-        assert violation.rule == "RPR014"
-        assert violation.line == 5
-
-    def test_with_statement_is_clean(self):
-        assert rules_hit(
-            """
-            from repro.obs import StackSampler
-
-            def run():
-                with StackSampler(hz=97.0) as sampler:
-                    return sampler.profile
-            """
-        ) == []
-
-    def test_enter_context_is_clean(self):
+    def test_delegation_names_are_per_callable(self):
+        # `span` delegates spans, not samplers.
         assert rules_hit(
             """
             from repro.obs.profiler import StackSampler
 
-            def run(stack):
-                return stack.enter_context(StackSampler())
-            """
-        ) == []
-
-    def test_aliased_import_still_flagged(self):
-        assert rules_hit(
-            """
-            from repro.obs import profiler
-
-            def run():
-                return profiler.StackSampler()
-            """
-        ) == ["RPR014"]
-
-    def test_delegating_factory_is_clean(self):
-        # Mirrors RPR005/RPR007: a function named for delegation may
-        # return an un-entered sampler for its caller to enter.
-        assert rules_hit(
-            """
-            from repro.obs.profiler import StackSampler
-
-            def stack_sampler(hz):
+            def span(hz):
                 return StackSampler(hz=hz)
             """
-        ) == []
-
-    def test_non_delegating_return_still_flagged(self):
-        assert rules_hit(
-            """
-            from repro.obs.profiler import StackSampler
-
-            def start():
-                return StackSampler()
-            """
-        ) == ["RPR014"]
-
-    def test_pragma_suppresses(self):
-        assert rules_hit(
-            """
-            from repro.obs.profiler import StackSampler
-
-            def start():
-                return StackSampler()  # repro: allow[RPR014] -- test fixture keeps a raw sampler
-            """
-        ) == []
+        ) == ["RPR005"]
 
 
 class TestPicklableSpec:

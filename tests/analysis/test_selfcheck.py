@@ -1,9 +1,7 @@
 """The linter's own acceptance gate: this repository lints clean.
 
 If a change introduces a new violation, this test fails with the exact
-``path:line:col: RPRnnn`` lines, the same output CI shows. The graph
-self-check pins the analysis roots the whole-program rules anchor on:
-losing a root silently disables RPR012/RPR013 for that entry point.
+``path:line:col: RPRnnn`` lines, the same output CI shows.
 """
 
 from __future__ import annotations
@@ -28,37 +26,3 @@ def test_full_repo_lint_checks_every_python_file():
     report = lint_paths([REPO_ROOT / t for t in ("src", "benchmarks", "tests")])
     assert report.exit_code == 0, "\n" + format_text(report)
     assert report.files_checked >= 150
-
-
-class TestGraphRoots:
-    @pytest.fixture(scope="class")
-    def analysis(self):
-        report = lint_paths([REPO_ROOT / "src" / "repro"])
-        assert report.analysis is not None
-        return report.analysis
-
-    def test_worker_entry_points_are_roots(self, analysis):
-        workers = set(analysis.roots["worker"])
-        assert "repro.experiments.executors._pool_worker" in workers
-        assert "repro.experiments.executors.evaluate_cell" in workers
-
-    def test_every_stages_function_is_a_stage_root(self, analysis):
-        stage_roots = set(analysis.roots["stage"])
-        stages_functions = {
-            qualname
-            for qualname, function in analysis.program.functions.items()
-            if qualname.startswith("repro.core.stages.")
-            and function.name != "<module>"
-        }
-        assert stages_functions, "core/stages.py functions not found"
-        assert stages_functions <= stage_roots
-        # The four pipeline stage methods anchor RPR013 as well.
-        for method in ("prepare_corpus", "fit_model", "build_profiles",
-                       "rank_users"):
-            assert (
-                f"repro.core.pipeline.ExperimentPipeline.{method}" in stage_roots
-            )
-
-    def test_profile_update_is_a_root(self, analysis):
-        updates = set(analysis.roots["profile_update"])
-        assert any(qualname.endswith(".update") for qualname in updates)

@@ -82,13 +82,26 @@ class TestCorpusStageSharing:
         assert metrics["corpus_cache.miss"]["value"] == 2
         assert metrics["corpus_cache.hit"]["value"] == 1
 
-    def test_corpus_key_ingredients(self, pipeline, small_groups):
+    def test_corpus_key_ingredients(self, pipeline, small_dataset, small_groups):
         from repro.twitter.entities import UserType
 
         users = tuple(pipeline.eligible_users(small_groups[UserType.ALL]))
         key = pipeline.corpus_key(RepresentationSource.R, users)
         assert key != pipeline.corpus_key(RepresentationSource.E, users)
         assert key != pipeline.corpus_key(RepresentationSource.R, users[:-1])
+        protocol = {"seed": 1, "max_train_docs_per_user": 40}
+        for change in (
+            {"seed": 2},
+            {"test_fraction": 0.3},
+            {"negatives_per_positive": 5},
+            {"max_train_docs_per_user": 41},
+            {"top_k_stop_words": 50},
+        ):
+            other = ExperimentPipeline(small_dataset, **{**protocol, **change})
+            assert other.corpus_key(RepresentationSource.R, users) != key, change
+        # An independently built equal pipeline lands on the same key.
+        twin = ExperimentPipeline(small_dataset, **protocol)
+        assert twin.corpus_key(RepresentationSource.R, users) == key
 
     def test_factory_keyed_on_user_set(self, pipeline, small_groups):
         from repro.twitter.entities import UserType

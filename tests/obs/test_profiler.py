@@ -151,7 +151,7 @@ class TestFilenameNormalization:
 
 class TestSamplerLifecycle:
     def test_context_manager_starts_and_joins_the_thread(self):
-        sampler = StackSampler(hz=200.0)  # repro: allow[RPR014] -- entered via `with` below; the test inspects pre-enter state
+        sampler = StackSampler(hz=200.0)  # repro: allow[RPR005] -- entered via `with` below; the test inspects pre-enter state
         assert not sampler.sampling and active_sampler() is None
         with sampler as entered:
             assert entered is sampler
@@ -169,7 +169,7 @@ class TestSamplerLifecycle:
     def test_one_sampler_per_process(self):
         with StackSampler(hz=0.001):
             with pytest.raises(ConfigurationError, match="already active"):
-                StackSampler(hz=0.001).__enter__()  # repro: allow[RPR014] -- raises before sampling starts; nothing to join
+                StackSampler(hz=0.001).__enter__()  # repro: allow[RPR005] -- raises before sampling starts; nothing to join
         # The slot frees on exit; the next sampler can enter.
         with StackSampler(hz=0.001):
             pass
@@ -181,9 +181,9 @@ class TestSamplerLifecycle:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
-            StackSampler(hz=-1.0)  # repro: allow[RPR014] -- constructor rejects it; never entered
+            StackSampler(hz=-1.0)  # repro: allow[RPR005] -- constructor rejects it; never entered
         with pytest.raises(ConfigurationError):
-            StackSampler(max_depth=0)  # repro: allow[RPR014] -- constructor rejects it; never entered
+            StackSampler(max_depth=0)  # repro: allow[RPR005] -- constructor rejects it; never entered
 
     def test_exit_banks_wall_time_and_overhead(self):
         with StackSampler(hz=500.0) as sampler:

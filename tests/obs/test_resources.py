@@ -29,7 +29,7 @@ class TestReadRss:
 class TestLifecycle:
     def test_interval_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            ResourceSampler(interval=0.0)  # repro: allow[RPR007] -- asserts the constructor rejects it
+            ResourceSampler(interval=0.0)  # repro: allow[RPR005] -- asserts the constructor rejects it
 
     def test_double_enter_rejected(self):
         with ResourceSampler() as sampler:
