@@ -11,7 +11,8 @@ A pragma names one or more rules (``allow[RPR002,RPR003]``) and
 suppresses matching violations whose flagged statement covers the
 pragma's line. A pragma that suppresses nothing is itself reported as
 ``RPR900`` (unused-suppression-pragma), so stale allowances cannot
-accumulate.
+accumulate -- unless every rule it names is registered but left out of
+the run (``--select``, ``--ignore``).
 
 With ``cache_path`` set, each file's result (its violations, RPR900
 included, or its parse error) is cached keyed on content SHA-256 and
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.base import (
+    RULE_REGISTRY,
     UNUSED_PRAGMA_RULE,
     FileContext,
     Rule,
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate incremental caches when engine semantics change.
-_ENGINE_CACHE_SALT = "reprolint-v3"
+_ENGINE_CACHE_SALT = "reprolint-v4"
 
 #: Matches suppression comments: allow[...] with one or more rule ids
 #: and an optional ``-- justification`` tail.
@@ -130,7 +132,7 @@ def _analyze_file(
     """The per-file pass: ``(parse error, violations)`` for one source.
 
     Violations are what survives pragma suppression, plus one RPR900
-    per pragma that suppressed nothing.
+    per pragma that suppressed nothing, unless none of its rules ran.
     """
     try:
         tree = ast.parse(source, filename=str(path))
@@ -147,8 +149,11 @@ def _analyze_file(
             used.add(pragma.line)
         else:
             violations.append(violation)
+    # Only a pragma whose every rule is registered but left out of this
+    # run (--select, --ignore) is exempt; an unknown rule id never runs.
+    skipped = RULE_REGISTRY.keys() - {rule.id for rule in rules}
     for pragma in pragmas:
-        if pragma.line not in used:
+        if pragma.line not in used and not pragma.rules <= skipped:
             violations.append(
                 Violation(
                     path=str(path),

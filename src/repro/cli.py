@@ -692,9 +692,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if rule_id
     }
     # RPR900 (stale pragma) is synthesized by the engine rather than
-    # registered, so it cannot be selected -- but it can be ignored,
-    # e.g. under --select, where pragmas for rules that did not run
-    # suppress nothing.
+    # registered, so it cannot be selected -- but it can be ignored.
     for label, requested, legal in (
         ("--select", selected, known),
         ("--ignore", ignored, known | {"RPR900"}),

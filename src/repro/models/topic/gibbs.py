@@ -17,8 +17,11 @@ fit does not depend on which one ran.
 Training LDA and Labeled LDA is the third: :class:`LdaCounts` holds the
 count tables of their collapsed Gibbs sampler and runs its sweeps.
 Folding unseen documents into a fitted model is the fourth:
-:func:`fold_in` runs the fold-in sampler of LDA, LLDA, HDP and HLDA for
-a whole batch of documents at once (see its docstring).
+:func:`fold_in` runs the fold-in sampler of LDA, LLDA, HDP and HLDA.
+From :data:`MIN_BATCH` documents on it samples a token position of
+the whole batch in one numpy step; fewer documents are folded one at a
+time, on Python floats up to :data:`SCALAR_TOPICS` topics and on numpy
+above. All three give the same counts (see its docstring).
 
 The module also defines the samplers' per-iteration progress protocol:
 a training loop calls :func:`notify_iteration` once per sweep, and any
@@ -53,18 +56,22 @@ __all__ = [
     "fold_in",
     "notify_iteration",
     "pairwise_total",
-    "sample_index",
     "sample_crp_tables",
 ]
 
 #: Below this many documents, :func:`fold_in` samples each document on
 #: its own: the batched step's fixed cost outweighs the steps it saves.
-MIN_BATCH = 4
+#: Folding tweets of the benchmark corpus into a 15-topic LDA, the
+#: batched step and the scalar single-document step cost the same at
+#: about six documents (CPython 3.11, numpy 2.4, 2-vCPU x86 guest).
+MIN_BATCH = 6
 
 #: Most topics a training step samples with :func:`draw_scalar`; with
 #: more, :func:`draw_index`'s numpy step is faster. Measured on BTM and
 #: LDA fits of the benchmark corpus, whose two steps cost the same at
-#: about 17 topics (CPython 3.11, numpy 2.4, 2-vCPU x86 guest).
+#: about 17 topics (CPython 3.11, numpy 2.4, 2-vCPU x86 guest). A
+#: single-document fold-in takes its scalar step up to the same limit,
+#: although its two steps cost the same only at about 27 topics.
 SCALAR_TOPICS = 17
 
 
@@ -107,30 +114,26 @@ def notify_iteration(
         ))
 
 
-def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index proportionally to non-negative ``weights``.
-
-    Falls back to a uniform draw when all weights are zero (which can
-    happen transiently in sparse samplers) rather than crashing the
-    chain.
-    """
-    total = float(np.add.reduce(weights))
-    if not 0.0 < total < math.inf:
-        return int(rng.integers(len(weights)))
-    return _inverse_cdf(weights[:-1], rng.random() * total)
-
-
 def draw_index(weights: np.ndarray, uniform: float, model: str) -> int:
-    """:func:`sample_index` with its uniform drawn beforehand.
+    """Index drawn proportionally to non-negative ``weights`` by inverse CDF.
 
-    A sampler that draws a whole sweep's uniforms in one
-    ``rng.random(n)`` call uses the same stream as ``n`` calls to
-    :func:`sample_index`, provided the fallback never fires: weights
-    whose total is not finite and positive raise
-    :class:`SamplingWeightsError` naming ``model`` instead.
+    The index is the count of CDF entries below ``uniform`` times the
+    pairwise total, found by bisecting the non-decreasing CDF. The last
+    weight's CDF entry is left out: rounding can put it below the
+    pairwise total, and a target above it must still land on the last
+    index rather than one past it. A sampler that draws a whole sweep's
+    uniforms in one ``rng.random(n)`` call uses the same stream as one
+    ``rng.random()`` per draw. Weights whose total is not finite and
+    positive raise :class:`SamplingWeightsError` naming ``model``.
+
+    ``np.searchsorted`` is avoided: it drops and retakes the GIL on
+    every call, and one release per token lets the sampling thread keep
+    losing the GIL race to the sampler loop, so a StackSampler or
+    ResourceSampler watching a fit could go hundreds of ms without a
+    sample.
     """
     total = _training_total(float(np.add.reduce(weights)), model)
-    return _inverse_cdf(weights[:-1], uniform * total)
+    return bisect_left(np.add.accumulate(weights[:-1]).tolist(), uniform * total)
 
 
 def draw_scalar(weights: Sequence[float], uniform: float, model: str) -> int:
@@ -184,22 +187,6 @@ def pairwise_total(weights: Sequence[float]) -> float:
     for weight in weights[body:]:
         total += weight
     return total
-
-
-def _inverse_cdf(head: np.ndarray, target: float) -> int:
-    """Index drawn by inverse-CDF sampling; ``head`` is all weights but the last.
-
-    The index is the count of CDF entries below ``target`` (uniform
-    times the pairwise total), found by bisecting the non-decreasing
-    CDF. The last weight's CDF entry is left out: rounding can put it
-    below the pairwise total, and a target above it must still land on
-    the last index rather than one past it. ``np.searchsorted`` is
-    avoided: it drops and retakes the GIL on every call, and one release
-    per token lets the sampling thread keep losing the GIL race to the
-    sampler loop, so a StackSampler or ResourceSampler watching a fit
-    could go hundreds of ms without a sample.
-    """
-    return bisect_left(np.add.accumulate(head).tolist(), target)
 
 
 class LdaCounts:
@@ -382,10 +369,11 @@ def fold_in(
     :data:`MIN_BATCH` documents on, token position ``i`` of every
     document still that long is sampled in one numpy step; the weight,
     sum, cumulative-sum and compare arithmetic is the same as for a lone
-    document, so both paths give identical counts. A zero-weight row
-    draws uniformly with its token's uniform; weights that are not
-    finite and non-negative raise :class:`SamplingWeightsError`
-    naming ``model``.
+    document (on numpy or, up to :data:`SCALAR_TOPICS` topics, on
+    Python floats), so every path gives identical counts. A zero-weight
+    row draws uniformly with its token's uniform; weights that are not
+    finite and non-negative raise :class:`SamplingWeightsError` naming
+    ``model``.
     """
     draws = []
     for fold, rng in zip(folds, rngs):
@@ -420,16 +408,48 @@ def _check_weights(
 def _fold_one(
     fold: FoldIn, topics: np.ndarray, uniforms: np.ndarray, iterations: int, model: str
 ) -> np.ndarray:
-    """:func:`fold_in` for one document, one token at a time."""
+    """:func:`fold_in` for one document, one token at a time.
+
+    Up to :data:`SCALAR_TOPICS` topics the step runs on Python floats:
+    ``counts + prior`` is kept as a list and only the entry whose count
+    moved is recomputed, the total is :func:`pairwise_total` and the
+    draw bisects the running sum, as :func:`draw_scalar` does. Those are
+    numpy's values bit for bit, and bisecting a non-decreasing CDF
+    counts the entries below the target, so both steps give the same
+    counts.
+    """
     columns = fold.columns
     k = columns.shape[1]
     _check_weights(columns, fold.prior, len(topics), model)
     prior = np.zeros(k) + fold.prior
-    counts = np.bincount(topics, minlength=k).astype(float)
-    rows = list(columns)
     assigned = topics.tolist()
     draws = iter(uniforms.tolist())
     last = k - 1
+    if k <= SCALAR_TOPICS:
+        prior = prior.tolist()
+        count_list = np.bincount(topics, minlength=k).tolist()
+        smoothed = list(map(add, count_list, prior))
+        rows = columns.tolist()
+        for _ in range(iterations):
+            for i, row in enumerate(rows):
+                topic = assigned[i]
+                count = count_list[topic] - 1
+                count_list[topic] = count
+                smoothed[topic] = count + prior[topic]
+                weights = list(map(mul, smoothed, row))
+                total = pairwise_total(weights)
+                uniform = next(draws)
+                if total > 0.0:
+                    topic = bisect_left(list(accumulate(weights[:last])), uniform * total)
+                else:
+                    topic = min(int(uniform * k), last)
+                assigned[i] = topic
+                count = count_list[topic] + 1
+                count_list[topic] = count
+                smoothed[topic] = count + prior[topic]
+        return np.array(count_list, dtype=float)
+    counts = np.bincount(topics, minlength=k).astype(float)
+    rows = list(columns)
     for _ in range(iterations):
         for i, row in enumerate(rows):
             topic = assigned[i]
@@ -438,7 +458,7 @@ def _fold_one(
             total = float(np.add.reduce(weights))
             uniform = next(draws)
             if total > 0.0:
-                # Inverse CDF, as in sample_index; leaving the last CDF
+                # Inverse CDF, as in draw_index; leaving the last CDF
                 # entry out keeps a rounding overshoot on the last topic.
                 cdf = np.add.accumulate(weights[:last])
                 topic = int(np.count_nonzero(cdf < uniform * total))

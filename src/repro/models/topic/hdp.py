@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import FoldIn, notify_iteration, sample_crp_tables, sample_index
+from repro.models.topic.gibbs import FoldIn, draw_index, notify_iteration, sample_crp_tables
 
 __all__ = ["HdpModel"]
 
@@ -133,7 +133,7 @@ class HdpModel(TopicModel):
                     counts.move(topic, w, -1)
                     np.divide(counts.word_rows[w], counts.denominators, counts.f_k)
                     np.multiply(factors, counts.f_k, counts.head)
-                    choice = sample_index(counts.weights, rng)
+                    choice = draw_index(counts.weights, rng.random(), self.name)
 
                     n_active = len(counts.topic_counts)
                     if choice == n_active and n_active < self.max_topics:

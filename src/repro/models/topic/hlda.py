@@ -41,7 +41,6 @@ from repro.models.topic.gibbs import (
     draw_index,
     notify_iteration,
     pairwise_total,
-    sample_index,
 )
 
 __all__ = ["HldaModel"]
@@ -330,7 +329,7 @@ class HldaModel(TopicModel):
             denom = node.n_docs + self.gamma
             weights = [child.n_docs / denom for child in node.children]
             weights.append(self.gamma / denom)
-            choice = sample_index(np.array(weights), rng)
+            choice = draw_index(np.array(weights), rng.random(), self.name)
             if choice == len(node.children):
                 node = self._new_node(level, node)
             else:

@@ -49,6 +49,26 @@ class TestLintCommand:
         assert "RPR004" in out
         assert "RPR003" not in out
 
+    def test_select_on_a_clean_tree_exits_zero(self, tmp_path, capsys):
+        # The pragma suppresses a real RPR003 finding. A run that leaves
+        # RPR003 out cannot judge it, so it is not reported as stale.
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "clock.py").write_text(
+            "import time\n"
+            "stamp = time.time()  # repro: allow[RPR003] -- wall clock by design\n"
+        )
+        for selection in (["--select", "RPR004"], ["--select", "RPR001", "RPR003"],
+                          ["--ignore", "RPR003"], []):
+            assert main(["lint", str(tmp_path), *selection]) == 0, selection
+            assert "clean" in capsys.readouterr().out
+
+    def test_select_still_reports_pragmas_for_unknown_rules(self, tmp_path, capsys):
+        stale = tmp_path / "stale.py"
+        stale.write_text("x = 1  # repro: allow[RPR012] -- a rule that no longer exists\n")
+        assert main(["lint", str(stale), "--select", "RPR004"]) == 1
+        assert "RPR900" in capsys.readouterr().out
+
     def test_select_unknown_rule_rejected(self, dirty_tree):
         with pytest.raises(SystemExit):
             main(["lint", str(dirty_tree), "--select", "RPR999"])

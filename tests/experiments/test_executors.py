@@ -41,8 +41,11 @@ SOURCES = [RepresentationSource.R, RepresentationSource.E]
 
 
 def _configs():
+    # One topic configuration: its fit draws from a seeded RNG and
+    # depends on the source's corpus, which bag/graph fits barely do.
     grid = SPEC.grid.build()
-    return grid.all_configurations()["TN"][:3] + grid.tng_configurations()[:2]
+    configs = grid.all_configurations()
+    return configs["TN"][:3] + grid.tng_configurations()[:2] + configs["LDA"][:1]
 
 
 def _runner(telemetry=None):

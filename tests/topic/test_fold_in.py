@@ -11,6 +11,7 @@ empty or all-out-of-vocabulary documents, which draw nothing.
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from hypothesis import strategies as st
 
 from repro.errors import SamplingWeightsError
 from repro.models.base import TextDoc
-from repro.models.topic.gibbs import MIN_BATCH, FoldIn, fold_in, sample_index
+from repro.models.topic.gibbs import MIN_BATCH, SCALAR_TOPICS, FoldIn, fold_in
 from repro.models.topic.hdp import HdpModel
 from repro.models.topic.hlda import HldaModel
 from repro.models.topic.lda import LdaModel
 from repro.models.topic.llda import LabeledLdaModel
+from tests.topic.test_gibbs import sample_index
+from tests.topic.test_training_parity import ScriptedRng, last_bit_uniforms
 
 CORPUS = [
     "star planet orbit star moon #space",
@@ -239,13 +242,32 @@ class TestKernelMatchesReference:
         k=st.integers(1, 64),
         lengths=st.lists(st.integers(0, 12), min_size=1, max_size=24),
         prior=st.floats(0.01, 5.0),
+        per_topic=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(k=1, lengths=[4] * (MIN_BATCH + 1), prior=1.0, seed=0)
-    @example(k=7, lengths=[0, 5, 1, 12, 0, 3, 9], prior=0.5, seed=3)
-    def test_any_batch_matches_reference(self, k, lengths, prior, seed):
+    @example(k=1, lengths=[4] * (MIN_BATCH + 1), prior=1.0, per_topic=False, seed=0)
+    @example(k=7, lengths=[0, 5, 1, 12, 0, 3, 9], prior=0.5, per_topic=False, seed=3)
+    # Both sides of the scalar step's limit, alone, just below the
+    # batch size and at it, with a scalar and an HDP-style vector prior.
+    @example(k=SCALAR_TOPICS - 1, lengths=[12], prior=0.3, per_topic=False, seed=4)
+    @example(k=SCALAR_TOPICS, lengths=[12], prior=0.3, per_topic=True, seed=5)
+    @example(k=SCALAR_TOPICS + 1, lengths=[12], prior=0.3, per_topic=False, seed=6)
+    @example(k=SCALAR_TOPICS - 1, lengths=([9, 2, 11] * MIN_BATCH)[:MIN_BATCH - 1], prior=2.0,
+             per_topic=True, seed=7)
+    @example(k=SCALAR_TOPICS, lengths=([3, 10, 12] * MIN_BATCH)[:MIN_BATCH - 1], prior=0.05,
+             per_topic=False, seed=8)
+    @example(k=SCALAR_TOPICS + 1, lengths=([5, 12, 0] * MIN_BATCH)[:MIN_BATCH - 1], prior=1.0,
+             per_topic=True, seed=9)
+    @example(k=SCALAR_TOPICS, lengths=([6, 12, 2] * MIN_BATCH)[:MIN_BATCH], prior=0.5,
+             per_topic=True, seed=10)
+    @example(k=SCALAR_TOPICS + 1, lengths=([11, 3, 12] * MIN_BATCH)[:MIN_BATCH], prior=0.5,
+             per_topic=False, seed=11)
+    def test_any_batch_matches_reference(self, k, lengths, prior, per_topic, seed):
         rng = np.random.default_rng(seed)
         phi = rng.dirichlet(np.ones(40), size=k)
+        if per_topic:
+            # HDP's prior: alpha times stick weights, one per topic.
+            prior = prior * rng.dirichlet(np.ones(k))
         folds = [FoldIn(phi[:, rng.integers(40, size=n)].T, prior) for n in lengths]
         counts = fold_in(folds, [np.random.default_rng(seed)] * len(folds), 3, "LDA")
         assert [int(n_dk.sum()) for n_dk in counts] == lengths
@@ -254,3 +276,64 @@ class TestKernelMatchesReference:
             assert np.array_equal(
                 n_dk, reference_fold(fold.columns.T, fold.prior, expected_rng, 3)
             )
+
+
+# -- the scalar step's total, to the last bit ---------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, MIN_BATCH], ids=["alone", "batched"])
+@pytest.mark.parametrize("k", [5, 12, SCALAR_TOPICS, SCALAR_TOPICS + 1])
+def test_fold_in_step_totals_like_numpy(k, count):
+    # The first draw's uniform is scripted so that uniform x total sits
+    # on a CDF entry: the draw changes if the total is one ulp off either
+    # way, and with one sweep that draw stays in the counts.
+    rng = np.random.default_rng(k)
+    columns = rng.dirichlet(np.ones(40), size=k)[:, rng.integers(40, size=9)].T
+    fold = FoldIn(columns, 0.3)
+    topics = np.random.default_rng(1).integers(k, size=9)
+    counts = np.bincount(topics, minlength=k).astype(float)
+    counts[topics[0]] -= 1
+    first = (counts + fold.prior) * columns[0]
+    for uniform in last_bit_uniforms(first):
+        got = fold_in([fold] * count, [ScriptedRng(1, [uniform])] * count, 1, "LDA")
+        reference_rng = ScriptedRng(1, [uniform])
+        for n_dk in got:
+            assert np.array_equal(n_dk, reference_fold(columns.T, fold.prior, reference_rng, 1))
+
+
+# -- pinned fold-ins ------------------------------------------------------------------
+
+#: SHA-256 over the float64 bytes of θ for 60 held-out tweets of
+#: ``small_dataset``, each represented alone and then all as one batch,
+#: after a ten-sweep, user-pooled fit on its first 400 tweets. Taken
+#: while every fold-in step still ran on numpy; the scalar step must
+#: reproduce them (LDA with 12 topics, HDP's 10, HLDA's 3 levels; LDA
+#: with 50 keeps the numpy step).
+PINNED_FOLDS = [
+    (LdaModel, dict(n_topics=12),
+     "d49780d544895b46cd8ab3897ab238451ec0da0740203a9aff2a0db99999140f"),
+    (LdaModel, dict(n_topics=50),
+     "395c24031e4ba191e6342973f958e73151a575cd713f3e78ae3f15e002f2864c"),
+    (HdpModel, dict(initial_topics=10),
+     "801e78bda5da4a62370268dd965aae73b9b1c7dd1c8195a0c3372189ff601a87"),
+    (HldaModel, dict(levels=3),
+     "d56e72cf0227299e988ecc4f63e73d7ba8450df6d42dfb00c1381881f540ffd3"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, params, digest", PINNED_FOLDS,
+    ids=[f"{cls.name}-{'-'.join(map(str, params.values()))}" for cls, params, _ in PINNED_FOLDS],
+)
+def test_fold_in_matches_pinned_digest(small_dataset, cls, params, digest):
+    tweets = small_dataset.tweets
+    docs = [TextDoc.from_tokens(tuple(tweet.text.split())) for tweet in tweets[:400]]
+    held_out = [TextDoc.from_tokens(tuple(tweet.text.split())) for tweet in tweets[400:460]]
+    model = cls(iterations=10, seed=3, pooling="UP", **params)
+    model.fit(docs, user_ids=[str(tweet.author_id) for tweet in tweets[:400]])
+    h = hashlib.sha256()
+    for held in held_out:
+        h.update(model.represent(held).tobytes())
+    for theta in model.represent_many(held_out):
+        h.update(theta.tobytes())
+    assert h.hexdigest() == digest

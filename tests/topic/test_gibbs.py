@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -11,7 +12,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import SamplingWeightsError
-from repro.models.topic.gibbs import draw_index, draw_scalar, pairwise_total, sample_index
+from repro.models.topic.gibbs import draw_index, draw_scalar, pairwise_total
+
+
+def sample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index proportionally to non-negative ``weights``.
+
+    The draw the samplers made before they drew their uniforms up front:
+    one ``rng.random()`` per call, as :func:`draw_index` uses it, but an
+    all-zero or non-finite total falls back to a uniform draw instead of
+    raising. The reference loops in this package's tests draw with it.
+    """
+    total = float(np.add.reduce(weights))
+    if not 0.0 < total < math.inf:
+        return int(rng.integers(len(weights)))
+    return bisect_left(np.add.accumulate(weights[:-1]).tolist(), rng.random() * total)
+
 
 #: The largest uniform ``Generator.random`` can return.
 TOP_UNIFORM = 1.0 - 2.0**-53

@@ -14,9 +14,10 @@ threshold (8) and of the scalar step's limit (``SCALAR_TOPICS``),
 empty and single-token documents, repeated words (BTM self-biterms),
 biterm subsampling, and NP and UP pooling.
 
-The references draw with ``gibbs.sample_index``, so a change to a
-helper both sides share would go unseen here; the fits pinned by
-SHA-256 digest at the end of this file guard against that.
+The references draw with ``test_gibbs.sample_index``. A change to a
+helper both sides share (``sample_crp_tables``, the fold-in) would go
+unseen here; the fits pinned by SHA-256 digest at the end of this file
+guard against that.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ from repro.models.topic.gibbs import (
     SCALAR_TOPICS,
     notify_iteration,
     sample_crp_tables,
-    sample_index,
 )
 from repro.models.topic.hdp import HdpModel
 from repro.models.topic.hlda import HldaModel, _Node, _PathFoldIn
 from repro.models.topic.labels import LabelExtractor
 from repro.models.topic.lda import LdaModel
 from repro.models.topic.llda import LabeledLdaModel
+from tests.topic.test_gibbs import sample_index
 
 WORDS = ["star", "moon", "orbit", "bread", "oven", "yeast", "stock", "bank", "rain",
          "wind", "#space", "#food", "?", ":)", "@ann"]
@@ -848,6 +849,26 @@ def test_hlda_level_draw_rejects_nan_weights(monkeypatch):
         model.fit([TextDoc.from_tokens(("star", "moon", "star"))])
 
 
+def test_hdp_topic_draw_rejects_nan_weights():
+    # A NaN η makes every topic-word factor NaN; the topic draw used to
+    # fall back to a uniform draw and carry on.
+    model = HdpModel(initial_topics=3, iterations=1, seed=0, pooling="NP")
+    model.eta = math.nan
+    with pytest.raises(SamplingWeightsError, match="HDP training weights"):
+        model.fit([TextDoc.from_tokens(("star", "moon", "star"))])
+
+
+def test_hlda_initial_path_rejects_nan_weights():
+    # A NaN γ makes the root's new-branch weight NaN. The first document's
+    # initial path draw is the first to read it; it used to fall back to a
+    # uniform draw, and only the first sweep's path draw raised.
+    model = HldaModel(levels=2, iterations=1, seed=0, pooling="NP")
+    model.gamma = math.nan
+    with pytest.raises(SamplingWeightsError, match="HLDA training weights") as raised:
+        model.fit([TextDoc.from_tokens(("star", "moon", "star"))])
+    assert any(entry.name == "_sample_initial_path" for entry in raised.traceback)
+
+
 @pytest.mark.xfail(strict=True, reason="nCRP denominator subtracts the resampled "
                    "document twice (ROADMAP item 3)")
 def test_hlda_branch_weights_sum_to_one():
@@ -861,11 +882,14 @@ def test_hlda_branch_weights_sum_to_one():
 
 # -- pinned fits ----------------------------------------------------------------
 
-#: SHA-256 over the float64 bytes of φ (then BTM's corpus θ) after ten
-#: sweeps on the first 400 tweets of ``small_dataset``, user-pooled
-#: unless noted. Taken while every training step still drew through
-#: numpy; the scalar step (K <= SCALAR_TOPICS, and LLDA's NP fits, whose
-#: allowed sets hold at most 9 and 15 topics) must reproduce them.
+#: SHA-256 over the float64 bytes of φ (then BTM's corpus θ, HDP's stick
+#: weights or HLDA's leaf paths) after ten sweeps on the first 400
+#: tweets of ``small_dataset``, user-pooled unless noted. Taken while
+#: every training step still drew through numpy; the scalar step (K <=
+#: SCALAR_TOPICS, and LLDA's NP fits, whose allowed sets hold at most 9
+#: and 15 topics) must reproduce them. HDP's and HLDA's were taken while
+#: HDP's topic draw and HLDA's initial path draw still fell back to a
+#: uniform draw on degenerate weights instead of raising.
 PINNED_FITS = [
     (LdaModel, dict(n_topics=6),
      "0bbf3e5ea5bb212a8bbdffe020fdf739659a8fbf7b87b2d784fb6d9f9d14b9a0"),
@@ -885,6 +909,10 @@ PINNED_FITS = [
      "3cd111fa8822d61f02f743219e71ec2353268a59cad3a4624ff7cdd44c162ca4"),
     (BitermTopicModel, dict(n_topics=50, max_biterms=4000),
      "8ffc2a8c7d9c2d977b10e51ac7d56ddaa134f7f1adbc0464815f0d1fb4d32ab0"),
+    (HdpModel, dict(initial_topics=10),
+     "4afeead629c8076080025e50981b74b11ec2dfde7c94222bf23b8ad0be41de08"),
+    (HldaModel, dict(levels=3),
+     "72115e86d3d271a873051b3a414811cb49850b6a002615d61649a9b6b39b5ebf"),
 ]
 
 
@@ -897,7 +925,12 @@ def test_fit_matches_pinned_digest(small_dataset, cls, params, digest):
     docs = [TextDoc.from_tokens(tuple(tweet.text.split())) for tweet in tweets]
     model = cls(iterations=10, seed=3, **{"pooling": "UP", **params})
     model.fit(docs, user_ids=[str(tweet.author_id) for tweet in tweets])
-    h = hashlib.sha256(np.ascontiguousarray(model.phi).tobytes())
+    phi = model._node_phi if cls is HldaModel else model.phi
+    h = hashlib.sha256(np.ascontiguousarray(phi).tobytes())
     if cls is BitermTopicModel:
         h.update(model.corpus_theta.tobytes())
+    if cls is HdpModel:
+        h.update(model.stick_weights.tobytes())
+    if cls is HldaModel:
+        h.update(np.array(model._paths_matrix).tobytes())
     assert h.hexdigest() == digest
