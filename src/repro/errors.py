@@ -65,6 +65,14 @@ class CellTimeoutError(ReproError):
     """A sweep cell exceeded its wall-clock budget and was terminated."""
 
 
+class CellQuarantinedError(ReproError):
+    """A supervised cell failed every attempt its policy allowed.
+
+    Raised by runs that cannot complete without the cell (a streaming
+    replay); a sweep records the quarantine instead and carries on.
+    """
+
+
 class NotFittedError(ReproError):
     """A model was used before it was trained/fitted."""
 

@@ -1,24 +1,26 @@
-"""Pluggable sweep executors: serial default, supervised process fan-out.
+"""Pluggable cell executors: serial default, supervised process fan-out.
 
 A sweep is a grid of *cells* -- one (configuration, source) pair
-evaluated over the union of the user groups. :class:`SerialCellExecutor`
-walks them in-process on the runner's own pipeline (the historical
-behaviour). :class:`ProcessCellExecutor` farms them out to a supervised
-pool of worker processes: each worker reconstructs an equivalent
-pipeline from a picklable :class:`SweepSpec` (dataset config + split
-protocol + grid scaling), evaluates its cells, and ships the result --
-plus its telemetry spans, events and metric snapshots -- back to the
-parent, which merges them into its own stream.
+evaluated over the union of the user groups; a streaming replay is a
+grid of cells too, one per (configuration, user chunk). What a cell does
+is its :attr:`Cell.job`; the executors never look inside. :class:`SerialCellExecutor` walks the cells in-process on the
+caller's own pipeline. :class:`ProcessCellExecutor` farms them out to a
+supervised pool of worker processes: each worker reconstructs an
+equivalent pipeline from the picklable spec (dataset config + split
+protocol + grid scaling), runs its cells, and ships each outcome --
+plus its telemetry spans, events, metric snapshots and stack samples --
+back to the parent, which merges them into its own stream.
 
 Both executors yield ``(cell, outcome)`` pairs in *submission order*
 regardless of completion order, and every model is seeded through the
-grid spec, so the rows a sweep produces are bit-identical whichever
-executor ran them.
+grid spec, so the outcomes are bit-identical whichever executor ran
+them.
 
 Both executors also *supervise* their cells (see
-:mod:`repro.experiments.supervision`): a failed attempt is retried with
-seeded-jitter exponential backoff, and a cell that exhausts its attempts
-comes back as a quarantined outcome carrying a typed
+:mod:`repro.experiments.supervision`) through one attempt helper and one
+retry decision: a failed attempt is retried with seeded-jitter
+exponential backoff, and a cell that exhausts its attempts comes back as
+a quarantined outcome carrying a typed
 :class:`~repro.experiments.supervision.CellFailure` instead of raising.
 The process executor additionally enforces per-attempt wall-clock
 timeouts and detects dead workers -- each worker has its own task and
@@ -27,11 +29,10 @@ never the run, and the pool replaces the casualty with a fresh process.
 
 ``ModelConfig`` factories are closures and cannot cross a process
 boundary; instead a cell names its configuration by (model, canonical
-parameter JSON) and the worker rebuilds the grid from the
-:class:`GridSpec` and looks the configuration up. The grid spec must
-therefore describe the *same* grid the parent enumerated -- including
-scaling knobs that do not appear in the parameters, like
-``infer_iterations``.
+parameter JSON) and the worker looks it up with :meth:`GridSpec.config`.
+The grid spec must therefore describe the *same* grid the parent
+enumerated -- including scaling knobs that do not appear in the
+parameters, like ``infer_iterations``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import multiprocessing
 import pickle
 import queue
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
@@ -55,10 +56,9 @@ from repro.experiments.supervision import CellFailure, SupervisionPolicy
 from repro.faults.injector import maybe_armed
 from repro.faults.plan import FaultPlan
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.profiler import StackSampler
+from repro.obs.profiler import StackSampler, active_sampler
 from repro.obs.resources import ResourceSampler
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-
 from repro.twitter.dataset import DatasetConfig, generate_dataset
 
 __all__ = [
@@ -111,6 +111,31 @@ class GridSpec:
             temporal_axis=self.temporal_axis,
         )
 
+    def config(self, model: str, params_key: str) -> ModelConfig:
+        """The grid's configuration with this (model, canonical params) key.
+
+        The index is built once per process and spec, so a worker
+        resolves many cells against one enumeration of the grid.
+        """
+        index = _GRID_INDEXES.get(self)
+        if index is None:
+            index = {
+                (config.model, canonical_params(config.params)): config
+                for config in self.build().iter_all()
+            }
+            _GRID_INDEXES[self] = index
+        config = index.get((model, params_key))
+        if config is None:
+            raise ConfigurationError(
+                f"{model}|{params_key} has no matching configuration in the grid; "
+                "the spec's GridSpec must describe the grid the parent enumerated"
+            )
+        return config
+
+
+#: One configuration index per grid spec and process (see GridSpec.config).
+_GRID_INDEXES: dict[GridSpec, dict[tuple[str, str], ModelConfig]] = {}
+
 
 @dataclass(frozen=True)
 class PipelineSpec:
@@ -143,6 +168,25 @@ class SweepSpec:
     grid: GridSpec
 
 
+def _evaluate(
+    pipeline: ExperimentPipeline,
+    config: ModelConfig,
+    cell: Cell,
+    outcome: CellOutcome,
+) -> None:
+    """A sweep cell's work: evaluate ``config`` over ``cell.users``."""
+    result = pipeline.evaluate(
+        config.build(),
+        RepresentationSource(cell.source),
+        list(cell.users),
+        share=cell.shares_fit,
+    )
+    outcome.per_user_ap = dict(result.per_user_ap)
+    outcome.training_seconds = result.training_seconds
+    outcome.testing_seconds = result.testing_seconds
+    outcome.phase_seconds = dict(result.phase_seconds)
+
+
 @dataclass(frozen=True)
 class Cell:
     """One (configuration, source) evaluation unit of a sweep."""
@@ -156,6 +200,10 @@ class Cell:
     #: the pipeline keeps the representations it builds for that cell
     #: (``ExperimentPipeline.evaluate(share=...)``).
     shares_fit: bool = field(default=False, hash=False, compare=False)
+    #: The cell's work (a :data:`CellJob`): a sweep evaluation, unless the
+    #: cell carries another, as a replay cell carries its spec's
+    #: ``run_cell``. It crosses to workers by pickle, with the cell.
+    job: CellJob = field(default=_evaluate, hash=False, compare=False, repr=False)
 
     @property
     def params_key(self) -> str:
@@ -179,6 +227,9 @@ class CellOutcome:
     training_seconds: float = 0.0
     testing_seconds: float = 0.0
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    #: A replay cell's per-user results
+    #: (:class:`~repro.experiments.replay.UserReplay`); empty for sweep cells.
+    replays: tuple = ()
     #: Worker telemetry to merge at join time: {"spans": [...],
     #: "events": [...], "metrics": {...}}. None for in-process cells,
     #: whose telemetry flowed to the parent stream directly.
@@ -190,13 +241,22 @@ class CellOutcome:
     failure: CellFailure | None = None
 
 
-#: One pipeline / config index per worker process, keyed by spec; a
-#: worker evaluates many cells of the same sweep and must prepare each
-#: source's corpus only once (the whole point of the staged engine).
-#: Both are pure rebuilds from the picklable spec, identical in every
-#: worker, and never flow back to the parent.
+#: A unit of executor work: the picklable cell plus (for in-process
+#: executors) the parent's own ModelConfig, whose factory closure cannot
+#: cross a process boundary.
+CellTask = tuple[Cell, ModelConfig | None]
+
+#: A cell's work: given the pipeline and the cell's configuration, fill
+#: in the cell's outcome.
+CellJob = Callable[[ExperimentPipeline, ModelConfig, Cell, CellOutcome], None]
+
+
+#: One pipeline per worker process, keyed by spec; a worker runs many
+#: cells of the same sweep and must prepare each source's corpus only
+#: once (the whole point of the staged engine). It is a pure rebuild from
+#: the picklable spec, identical in every worker, and never flows back
+#: to the parent.
 _WORKER_PIPELINES: dict[PipelineSpec, ExperimentPipeline] = {}
-_WORKER_INDEXES: dict[GridSpec, dict[tuple[str, str], ModelConfig]] = {}
 
 
 def _worker_pipeline(spec: PipelineSpec) -> ExperimentPipeline:
@@ -207,15 +267,71 @@ def _worker_pipeline(spec: PipelineSpec) -> ExperimentPipeline:
     return pipeline
 
 
-def _worker_index(spec: GridSpec) -> dict[tuple[str, str], ModelConfig]:
-    index = _WORKER_INDEXES.get(spec)
-    if index is None:
-        index = {
-            (config.model, canonical_params(config.params)): config
-            for config in spec.build().iter_all()
-        }
-        _WORKER_INDEXES[spec] = index
-    return index
+def _attempt(
+    pipeline: ExperimentPipeline,
+    config: ModelConfig,
+    cell: Cell,
+    tel: Telemetry,
+    plan: FaultPlan | None,
+    attempt: int,
+) -> CellOutcome:
+    """One attempt at one cell: the path serial and worker cells share.
+
+    Runs the cell's ``job`` under its ``config`` span with the fault
+    plan armed. A :class:`ConfigurationError` is an invalid
+    (configuration, source) pairing -- a protocol skip, not a fault --
+    so it is recorded, never retried; any other error propagates to the
+    supervisor.
+    """
+    outcome = CellOutcome(cell.model, dict(cell.params), cell.source, attempts=attempt)
+    with tel.span("config", label=cell.label, source=cell.source):
+        try:
+            with maybe_armed(plan, cell.model, cell.source, cell.params_key, attempt):
+                cell.job(pipeline, config, cell, outcome)
+        except ConfigurationError as error:
+            outcome.skipped = str(error)
+    return outcome
+
+
+def _after_failure(
+    policy: SupervisionPolicy, tel: Telemetry, events: EventLog, cell: Cell, failure: CellFailure
+) -> float | CellOutcome:
+    """The retry-or-quarantine decision for a failed attempt.
+
+    ``failure`` describes the attempt: ``attempts`` is its number and
+    ``elapsed_seconds`` what the cell has cost so far. While the policy
+    has attempts left, the retry is counted and announced and the
+    backoff before the next attempt is returned; after the last one, the
+    cell's quarantined outcome.
+    """
+    attempt = failure.attempts
+    if attempt < policy.retry.max_attempts:
+        tel.count("sweep.cell.retry")
+        events.emit(
+            "cell_retry",
+            cell=cell.key,
+            attempt=attempt,
+            kind=failure.kind,
+            error=failure.error,
+            message=failure.message,
+        )
+        return policy.retry.delay(cell.key, attempt)
+    return CellOutcome(
+        cell.model, dict(cell.params), cell.source, attempts=attempt, failure=failure
+    )
+
+
+def _finished(
+    events: EventLog, cell: Cell, worker: int, attempt: int, started: float, status: str
+) -> None:
+    events.emit(
+        "cell_finished",
+        cell=cell.key,
+        worker=worker,
+        attempt=attempt,
+        status=status,
+        seconds=time.monotonic() - started,
+    )
 
 
 def evaluate_cell(
@@ -227,7 +343,7 @@ def evaluate_cell(
     fault_plan: FaultPlan | None = None,
     profile_hz: float | None = None,
 ) -> CellOutcome:
-    """Evaluate one cell against a worker-local pipeline.
+    """Run one attempt at one cell against a worker-local pipeline.
 
     Runs in a pool worker (but is an ordinary function: the serial
     parity tests call it in-process). The pipeline and the grid's
@@ -253,6 +369,8 @@ def evaluate_cell(
     """
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
+    config = spec.grid.config(cell.model, cell.params_key)
+    pipeline = _worker_pipeline(spec.pipeline)
     with ExitStack() as stack:
         telemetry = None
         profiler = None
@@ -266,40 +384,10 @@ def evaluate_cell(
         events = MemorySink()
         if telemetry is not None:
             telemetry.events.add_sink(events)
-        pipeline = _worker_pipeline(spec.pipeline)
         pipeline.telemetry = telemetry
-        config = _worker_index(spec.grid).get((cell.model, cell.params_key))
-        if config is None:
-            raise ConfigurationError(
-                f"cell {cell.key} has no matching configuration in the worker grid; "
-                "the sweep spec's GridSpec must describe the grid the parent enumerated"
-            )
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        outcome = CellOutcome(
-            model=cell.model,
-            params=dict(cell.params),
-            source=cell.source,
-            attempts=attempt,
-        )
         try:
-            with tel.span("config", label=cell.label, source=cell.source):
-                try:
-                    with maybe_armed(
-                        fault_plan, cell.model, cell.source, cell.params_key, attempt
-                    ):
-                        result = pipeline.evaluate(
-                            config.build(),
-                            RepresentationSource(cell.source),
-                            list(cell.users),
-                            share=cell.shares_fit,
-                        )
-                except ConfigurationError as error:
-                    outcome.skipped = str(error)
-                else:
-                    outcome.per_user_ap = dict(result.per_user_ap)
-                    outcome.training_seconds = result.training_seconds
-                    outcome.testing_seconds = result.testing_seconds
-                    outcome.phase_seconds = dict(result.phase_seconds)
+            outcome = _attempt(pipeline, config, cell, tel, fault_plan, attempt)
         finally:
             pipeline.telemetry = None
     # Assembled after the ExitStack closes: the samplers' final
@@ -316,16 +404,10 @@ def evaluate_cell(
     return outcome
 
 
-#: A unit of executor work: the picklable cell plus (for in-process
-#: executors) the parent's own ModelConfig, whose factory closure cannot
-#: cross a process boundary.
-CellTask = tuple[Cell, ModelConfig | None]
-
-
 class SerialCellExecutor:
-    """Default executor: evaluates cells in-process, in order.
+    """Default executor: runs cells in-process, in order.
 
-    Uses the runner's own pipeline, so split/document/corpus caches and
+    Uses the caller's own pipeline, so split/document/corpus caches and
     live telemetry behave exactly as they always have. Supervision is
     retry-only: an in-process cell cannot be preempted, so the policy's
     ``timeout_seconds`` is not enforced here (run with ``--jobs`` when
@@ -347,17 +429,9 @@ class SerialCellExecutor:
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.fault_plan = fault_plan
 
-    def run_cells(
-        self,
-        tasks: Sequence[CellTask],
-        collect_telemetry: bool = False,
-        sample_resources: bool = False,
-        profile_hz: float | None = None,
-    ) -> Iterator[tuple[Cell, CellOutcome]]:
-        # ``sample_resources`` and ``profile_hz`` are accepted for
-        # executor-interface parity but need no action here: in-process
-        # cells record through the parent tracer, whose own resource
-        # sampler / stack profiler (if any) already covers them.
+    def run_cells(self, tasks: Sequence[CellTask]) -> Iterator[tuple[Cell, CellOutcome]]:
+        # In-process cells record through the caller's telemetry, whose
+        # own resource sampler / stack profiler (if any) covers them.
         tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
         events = tel.events if tel.enabled else EventLog()
         plan = self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
@@ -376,77 +450,30 @@ class SerialCellExecutor:
         events: EventLog,
         plan: FaultPlan | None,
     ) -> CellOutcome:
-        retry = self.policy.retry
         started = time.monotonic()
-        for attempt in range(1, retry.max_attempts + 1):
-            outcome = CellOutcome(
-                model=cell.model,
-                params=dict(cell.params),
-                source=cell.source,
-                attempts=attempt,
-            )
+        attempt = 1
+        while True:
             # Heartbeat attribution: the serial executor is its own,
             # only worker, so every attempt runs on worker 0.
             events.emit("cell_started", cell=cell.key, worker=0, attempt=attempt)
             attempt_started = time.monotonic()
-            with tel.span("config", label=cell.label, source=cell.source):
-                try:
-                    with maybe_armed(plan, cell.model, cell.source, cell.params_key, attempt):
-                        result = self.pipeline.evaluate(
-                            config.build(),
-                            RepresentationSource(cell.source),
-                            list(cell.users),
-                            share=cell.shares_fit,
-                        )
-                except ConfigurationError as error:
-                    # Invalid (config, source) pairings are protocol
-                    # skips, not faults: no retry, no quarantine.
-                    outcome.skipped = str(error)
-                    self._finished(events, cell, attempt, attempt_started, "skipped")
-                    return outcome
-                except Exception as error:
-                    self._finished(events, cell, attempt, attempt_started, "error")
-                    if attempt < retry.max_attempts:
-                        tel.count("sweep.cell.retry")
-                        events.emit(
-                            "cell_retry",
-                            cell=cell.key,
-                            attempt=attempt,
-                            kind="error",
-                            error=type(error).__name__,
-                            message=str(error),
-                        )
-                        time.sleep(retry.delay(cell.key, attempt))
-                        continue
-                    outcome.failure = CellFailure(
-                        kind="error",
-                        error=type(error).__name__,
-                        message=str(error),
-                        attempts=attempt,
-                        elapsed_seconds=time.monotonic() - started,
-                    )
-                    return outcome
-                else:
-                    outcome.per_user_ap = dict(result.per_user_ap)
-                    outcome.training_seconds = result.training_seconds
-                    outcome.testing_seconds = result.testing_seconds
-                    outcome.phase_seconds = dict(result.phase_seconds)
-                    self._finished(events, cell, attempt, attempt_started, "ok")
-                    return outcome
-        raise AssertionError("unreachable: retry loop always returns")
-
-    @staticmethod
-    def _finished(
-        events: EventLog, cell: Cell, attempt: int, started: float, status: str
-    ) -> None:
-        events.emit(
-            "cell_finished",
-            cell=cell.key,
-            worker=0,
-            attempt=attempt,
-            status=status,
-            seconds=time.monotonic() - started,
-        )
+            try:
+                outcome = _attempt(self.pipeline, config, cell, tel, plan, attempt)
+            except Exception as error:
+                _finished(events, cell, 0, attempt, attempt_started, "error")
+                failure = CellFailure(
+                    "error", type(error).__name__, str(error), attempt,
+                    time.monotonic() - started,
+                )
+                after = _after_failure(self.policy, tel, events, cell, failure)
+                if isinstance(after, CellOutcome):
+                    return after
+                time.sleep(after)
+                attempt += 1
+            else:
+                status = "skipped" if outcome.skipped is not None else "ok"
+                _finished(events, cell, 0, attempt, attempt_started, status)
+                return outcome
 
 
 def _pool_worker(task_queue, result_queue) -> None:
@@ -578,13 +605,9 @@ class ProcessCellExecutor:
         self.fault_plan = fault_plan
         self.telemetry = telemetry
 
-    def run_cells(
-        self,
-        tasks: Sequence[CellTask],
-        collect_telemetry: bool = False,
-        sample_resources: bool = False,
-        profile_hz: float | None = None,
-    ) -> Iterator[tuple[Cell, CellOutcome]]:
+    def run_cells(self, tasks: Sequence[CellTask]) -> Iterator[tuple[Cell, CellOutcome]]:
+        """Run ``tasks`` on the pool; each outcome's worker telemetry is
+        merged into :attr:`telemetry` before the cell is yielded."""
         cells = [cell for cell, _config in tasks]
         if not cells:
             return
@@ -600,20 +623,17 @@ class ProcessCellExecutor:
                     f"cell {cell.key} is not picklable and cannot be shipped "
                     f"to a worker process: {error}"
                 ) from error
-        supervisor = _Supervisor(
-            executor=self,
-            cells=cells,
-            collect_telemetry=collect_telemetry,
-            sample_resources=sample_resources,
-            plan=plan,
-            profile_hz=profile_hz,
-        )
+        tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
+        supervisor = _Supervisor(self, cells, tel, plan)
         workers = [_PoolWorker() for _ in range(min(self.jobs, len(cells)))]
         try:
-            yield from supervisor.run(workers)
+            for cell, outcome in supervisor.run(workers):
+                if outcome.telemetry is not None:
+                    tel.absorb(outcome.telemetry)
+                yield cell, outcome
         finally:
             # The happy path, a raise, and an abandoned generator all
-            # land here: no worker may outlive its sweep.
+            # land here: no worker may outlive its run.
             for worker in workers:
                 worker.stop()
 
@@ -622,18 +642,25 @@ class _Supervisor:
     """The scheduling state of one ``run_cells`` call."""
 
     def __init__(
-        self, executor, cells, collect_telemetry, sample_resources, plan,
-        profile_hz=None,
+        self,
+        executor: ProcessCellExecutor,
+        cells: list[Cell],
+        tel: Telemetry,
+        plan: FaultPlan | None,
     ):
         self.executor = executor
         self.cells = cells
-        self.collect_telemetry = collect_telemetry
-        self.sample_resources = sample_resources
-        self.plan = plan
-        self.profile_hz = profile_hz
-        tel = executor.telemetry if executor.telemetry is not None else NULL_TELEMETRY
         self.tel = tel
         self.events = tel.events if tel.enabled else EventLog()
+        self.plan = plan
+        # Workers collect telemetry only when the parent does, sample
+        # their own RSS when it samples resources, and profile
+        # themselves at the rate of this process's active profiler,
+        # whose profile Telemetry.absorb merges them into.
+        self.collect_telemetry = tel.enabled
+        self.sample_resources = tel.resources is not None
+        profiling = active_sampler()
+        self.profile_hz = profiling.hz if profiling is not None else None
         #: Min-heap of (not-before monotonic time, cell index, attempt).
         self.ready: list[tuple[float, int, int]] = [
             (0.0, index, 1) for index in range(len(cells))
@@ -719,7 +746,7 @@ class _Supervisor:
             self._handle(slot, worker, message)
         else:
             index, attempt, started = worker.current
-            self._finished(slot, index, attempt, started, "crash")
+            _finished(self.events, self.cells[index], slot, attempt, started, "crash")
             self._attempt_failed(
                 index,
                 attempt,
@@ -744,7 +771,7 @@ class _Supervisor:
             return None
         self.tel.count("sweep.cell.timeout")
         worker.discard()
-        self._finished(slot, index, attempt, started, "timeout")
+        _finished(self.events, self.cells[index], slot, attempt, started, "timeout")
         self._attempt_failed(
             index,
             attempt,
@@ -758,18 +785,6 @@ class _Supervisor:
         )
         return _PoolWorker()
 
-    def _finished(
-        self, slot: int, index: int, attempt: int, started: float, status: str
-    ) -> None:
-        self.events.emit(
-            "cell_finished",
-            cell=self.cells[index].key,
-            worker=slot,
-            attempt=attempt,
-            status=status,
-            seconds=time.monotonic() - started,
-        )
-
     def _handle(self, slot: int, worker: _PoolWorker, message: tuple) -> None:
         index, attempt, started = worker.current
         worker.current = None
@@ -782,11 +797,11 @@ class _Supervisor:
                 outcome.telemetry.setdefault("worker", slot)
                 outcome.telemetry.setdefault("attempt", attempt)
             status = "skipped" if outcome.skipped is not None else "ok"
-            self._finished(slot, index, attempt, started, status)
+            _finished(self.events, self.cells[index], slot, attempt, started, status)
             self.completed[index] = outcome
             return
         _kind, _index, error_name, error_message = message
-        self._finished(slot, index, attempt, started, "error")
+        _finished(self.events, self.cells[index], slot, attempt, started, "error")
         self._attempt_failed(
             index,
             attempt,
@@ -805,34 +820,12 @@ class _Supervisor:
         error: str,
         message: str,
     ) -> None:
-        cell = self.cells[index]
         self.elapsed[index] = self.elapsed.get(index, 0.0) + attempt_seconds
-        retry = self.executor.policy.retry
-        if attempt < retry.max_attempts:
-            self.tel.count("sweep.cell.retry")
-            self.events.emit(
-                "cell_retry",
-                cell=cell.key,
-                attempt=attempt,
-                kind=kind,
-                error=error,
-                message=message,
-            )
-            heapq.heappush(
-                self.ready,
-                (time.monotonic() + retry.delay(cell.key, attempt), index, attempt + 1),
-            )
-            return
-        self.completed[index] = CellOutcome(
-            model=cell.model,
-            params=dict(cell.params),
-            source=cell.source,
-            attempts=attempt,
-            failure=CellFailure(
-                kind=kind,
-                error=error,
-                message=message,
-                attempts=attempt,
-                elapsed_seconds=self.elapsed[index],
-            ),
+        failure = CellFailure(kind, error, message, attempt, self.elapsed[index])
+        after = _after_failure(
+            self.executor.policy, self.tel, self.events, self.cells[index], failure
         )
+        if isinstance(after, CellOutcome):
+            self.completed[index] = after
+        else:
+            heapq.heappush(self.ready, (time.monotonic() + after, index, attempt + 1))

@@ -27,33 +27,49 @@ rebuilds at every boundary (O(prefix) each, O(n^2) overall), and
 model, and perfbench's ``profile_stream`` workload times the same
 single-document updates beside re-ranks.
 
-With ``jobs > 1`` the users of each model are partitioned into
-contiguous chunks and replayed in a process pool; workers rebuild the
-pipeline from the picklable spec and resolve configurations through the
-grid index by (model, canonical parameter JSON), exactly like the sweep
-executors. Replay results carry per-user profile digests, so parallel
-and serial runs are directly comparable.
+Each (model, contiguous user chunk) pair is one cell run on the sweep
+executors: fitted on the corpus of every replayed user, then streamed
+for the chunk's users. Serially (``jobs == 1``) one chunk holds every
+user and the cells share the caller's pipeline; with ``jobs > 1`` the
+users are split into ``jobs`` chunks and the cells run on
+:class:`~repro.experiments.executors.ProcessCellExecutor`, whose workers
+rebuild the pipeline from the picklable spec, resolve configurations
+through :meth:`~repro.experiments.executors.GridSpec.config`, and ship
+their spans, counters and profile samples back with each cell. Cells
+are supervised like sweep cells (retries, a 600 s bound per worker
+attempt, crash detection); a cell that exhausts its attempts raises
+:class:`~repro.errors.CellQuarantinedError`. Replay results carry
+per-user profile digests, so parallel and serial runs are directly
+comparable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from repro.core.pipeline import ExperimentPipeline
 from repro.core.sources import RepresentationSource
-from repro.core.stages import FittedModel, canonical_params
-from repro.errors import ConfigurationError, ValidationError
+from repro.core.stages import canonical_params
+from repro.errors import CellQuarantinedError, ConfigurationError, ValidationError
 from repro.eval.timing import Stopwatch
 from repro.experiments.configs import ModelConfig
-from repro.experiments.executors import GridSpec, PipelineSpec
+from repro.experiments.executors import (
+    Cell,
+    CellOutcome,
+    GridSpec,
+    PipelineSpec,
+    ProcessCellExecutor,
+    SerialCellExecutor,
+    SweepSpec,
+)
 from repro.experiments.standard import fast_grid
+from repro.experiments.supervision import SupervisionPolicy
 from repro.models.base import TextDoc
 from repro.models.graph import NGramGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -71,22 +87,22 @@ __all__ = [
 #: Default models of ``repro replay``: one per family (bag, graph, topic).
 REPLAY_MODELS = ("TN", "TNG", "LDA")
 
-#: Wall-clock budget for one worker's (model, user chunk) replay task.
-#: Bounds the parent's ``AsyncResult.get`` so a wedged worker surfaces
-#: as a timeout instead of hanging the driver forever.
-REPLAY_TASK_TIMEOUT_SECONDS = 600.0
+#: How replay cells are supervised: the default retries, and at most
+#: 600 s per attempt of a worker cell (a serial cell cannot be preempted).
+REPLAY_POLICY = SupervisionPolicy(timeout_seconds=600.0)
 
 
 @dataclass(frozen=True)
 class ReplaySpec:
     """Picklable description of one streaming replay run.
 
-    ``models`` name configurations resolved from the fast grid of
-    ``grid`` (one representative configuration per model, the same
-    picks ``sweep --fast`` runs); ``users`` is the candidate user
-    set (ineligible users are filtered exactly as ``evaluate`` would);
-    ``chunk_size`` is the number of tweets folded per incremental
-    update (1 = one update per tweet, the finest stream).
+    ``models`` name configurations resolved from ``grid`` by the fast
+    grid's pick of each model (one representative configuration per
+    model, the same picks ``sweep --fast`` runs); ``users`` is the
+    candidate user set (ineligible users are filtered exactly as
+    ``evaluate`` would); ``chunk_size`` is the number of tweets folded
+    per incremental update (1 = one update per tweet, the finest
+    stream).
     """
 
     pipeline: PipelineSpec
@@ -105,6 +121,28 @@ class ReplaySpec:
         if not self.models:
             raise ConfigurationError("replay needs at least one model")
         RepresentationSource(self.source)  # fail fast on unknown sources
+
+    def run_cell(
+        self,
+        pipeline: ExperimentPipeline,
+        config: ModelConfig,
+        cell: Cell,
+        outcome: CellOutcome,
+    ) -> None:
+        """A replay cell's job: fit ``config`` on the corpus of all of
+        ``users`` (the eligible set, once :func:`run_replay` has
+        filtered it), then stream each of ``cell.users`` through it."""
+        prepared = pipeline.prepare_corpus(RepresentationSource(self.source), self.users)
+        model = config.build()
+        if self.deterministic_topics and hasattr(model, "deterministic_inference"):
+            model.deterministic_inference = True
+        fitted = pipeline.fit_model(model, prepared)
+        outcome.replays = tuple(
+            _replay_user(
+                fitted.model, uid, *pipeline.profile_inputs(fitted, uid), self.chunk_size
+            )
+            for uid in cell.users
+        )
 
 
 @dataclass(frozen=True)
@@ -331,46 +369,13 @@ def _replay_user(
 
 
 def _resolve_configs(spec: ReplaySpec) -> list[ModelConfig]:
-    """The replayed configurations: the fast-grid pick of each model."""
-    picks = {c.model: c for c in fast_grid(seed=spec.grid.seed)}
+    """The replayed configurations: each model's fast-grid pick, looked
+    up in ``spec.grid`` by (model, canonical params) as workers do."""
+    picks = {c.model: canonical_params(c.params) for c in fast_grid(seed=spec.grid.seed)}
     missing = sorted(set(spec.models) - set(picks))
     if missing:
         raise ConfigurationError(f"no fast-grid configuration for models: {missing}")
-    return [picks[model] for model in spec.models]
-
-
-def _fit_for_replay(
-    pipeline: ExperimentPipeline, spec: ReplaySpec, config: ModelConfig, users: tuple[int, ...]
-) -> FittedModel:
-    """Prepare and fit one configuration for replay, deterministically."""
-    prepared = pipeline.prepare_corpus(RepresentationSource(spec.source), users)
-    model = config.build()
-    if spec.deterministic_topics and hasattr(model, "deterministic_inference"):
-        model.deterministic_inference = True
-    return pipeline.fit_model(model, prepared)
-
-
-def _eligible(pipeline: ExperimentPipeline, spec: ReplaySpec) -> tuple[int, ...]:
-    users = tuple(pipeline.eligible_users(spec.users))
-    if not users:
-        raise ValidationError("no eligible users to replay")
-    return users
-
-
-def _replay_users(
-    pipeline: ExperimentPipeline,
-    spec: ReplaySpec,
-    fitted: FittedModel,
-    replay_users: Sequence[int],
-) -> tuple[UserReplay, ...]:
-    """Replay a user subset against one fitted configuration."""
-    results = []
-    for uid in replay_users:
-        docs, labels, keys = pipeline.profile_inputs(fitted, uid)
-        results.append(
-            _replay_user(fitted.model, uid, docs, labels, keys, spec.chunk_size)
-        )
-    return tuple(results)
+    return [spec.grid.config(model, picks[model]) for model in spec.models]
 
 
 def _model_replay(
@@ -399,62 +404,6 @@ def _model_replay(
     return replay
 
 
-# -- worker plumbing (``--jobs``) ------------------------------------------
-
-#: One pipeline and one fitted-model cache per worker process: a worker
-#: replays several user chunks of the same spec and must prepare the
-#: corpus and fit each model only once.
-_REPLAY_PIPELINES: dict[PipelineSpec, ExperimentPipeline] = {}
-_REPLAY_FITS: dict[tuple, FittedModel] = {}
-
-
-def _replay_worker(
-    spec: ReplaySpec,
-    model: str,
-    params_key: str,
-    corpus_users: tuple[int, ...],
-    replay_users: tuple[int, ...],
-) -> tuple[UserReplay, ...]:
-    """Pool entry point: replay one user chunk of one model.
-
-    Module-scope so it pickles under any start method. Configurations
-    are resolved by (model, canonical parameter JSON) against the
-    spec's grid, mirroring the sweep executors' worker index.
-    """
-    pipeline = _REPLAY_PIPELINES.get(spec.pipeline)
-    if pipeline is None:
-        pipeline = spec.pipeline.build()
-        _REPLAY_PIPELINES[spec.pipeline] = pipeline
-    config = None
-    for candidate in _resolve_configs(spec):
-        if candidate.model == model and canonical_params(candidate.params) == params_key:
-            config = candidate
-            break
-    if config is None:
-        raise ConfigurationError(
-            f"replay worker cannot resolve configuration {model}|{params_key}"
-        )
-    fit_key = (spec.pipeline, spec.grid, spec.source, corpus_users, model, params_key)
-    fitted = _REPLAY_FITS.get(fit_key)
-    if fitted is None:
-        fitted = _fit_for_replay(pipeline, spec, config, corpus_users)
-        _REPLAY_FITS[fit_key] = fitted
-    return _replay_users(pipeline, spec, fitted, replay_users)
-
-
-def _partition(users: tuple[int, ...], jobs: int) -> list[tuple[int, ...]]:
-    """Contiguous near-even user chunks, preserving order."""
-    jobs = max(1, min(jobs, len(users)))
-    size, extra = divmod(len(users), jobs)
-    chunks: list[tuple[int, ...]] = []
-    start = 0
-    for index in range(jobs):
-        stop = start + size + (1 if index < extra else 0)
-        chunks.append(users[start:stop])
-        start = stop
-    return [chunk for chunk in chunks if chunk]
-
-
 # -- the driver ------------------------------------------------------------
 
 
@@ -466,56 +415,60 @@ def run_replay(
     """Replay every model of the spec over its users; returns per-model
     parity and timing results in the spec's model order.
 
-    Serial (``jobs == 1``) runs share one pipeline, so preprocessing
-    and the prepared corpus amortise across models. ``jobs > 1``
-    partitions each model's users into contiguous chunks replayed by a
-    process pool; with deterministic topic inference the merged results
-    carry digests bit-identical to a serial run.
+    Every cell fits on the corpus of all eligible users and streams one
+    contiguous chunk of them. Serially (``jobs == 1``) there is one
+    chunk per model and the cells share one pipeline, so preprocessing
+    and the prepared corpus amortise across models. ``jobs > 1`` splits
+    the users into ``jobs`` chunks run on a supervised worker pool; with
+    deterministic topic inference the merged results carry digests
+    bit-identical to a serial run. A quarantined cell raises
+    :class:`~repro.errors.CellQuarantinedError`.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     configs = _resolve_configs(spec)
+    pipeline = spec.pipeline.build(telemetry)
+    users = tuple(pipeline.eligible_users(spec.users))
+    if not users:
+        raise ValidationError("no eligible users to replay")
+    spec = replace(spec, users=users)
+    size = -(-len(users) // jobs)
+    chunks = [users[start : start + size] for start in range(0, len(users), size)]
+    tasks = [
+        (
+            Cell(
+                model=config.model,
+                params=dict(config.params),
+                label=config.label(),
+                source=spec.source,
+                users=chunk,
+                job=spec.run_cell,
+            ),
+            config,
+        )
+        for config in configs
+        for chunk in chunks
+    ]
     if jobs == 1:
-        pipeline = spec.pipeline.build(telemetry)
-        corpus_users = _eligible(pipeline, spec)
-        results = []
-        for config in configs:
-            with tel.span("replay_model", model=config.model, source=spec.source):
-                fitted = _fit_for_replay(pipeline, spec, config, corpus_users)
-                users = _replay_users(pipeline, spec, fitted, corpus_users)
-            results.append(_model_replay(spec, config, users, tel))
-        return results
-
-    # Eligibility is deterministic in the dataset config and split
-    # protocol, so the parent's partition and each worker's corpus
-    # (always the full eligible set) agree by construction.
-    corpus_users = _eligible(spec.pipeline.build(), spec)
-    chunks = _partition(corpus_users, jobs)
-    context = multiprocessing.get_context()
-    results = []
-    with context.Pool(processes=min(jobs, len(chunks) * len(configs))) as pool:
-        pending = []
-        for config in configs:
-            params_key = canonical_params(config.params)
-            pending.append(
-                (
-                    config,
-                    [
-                        pool.apply_async(
-                            _replay_worker,
-                            (spec, config.model, params_key, corpus_users, chunk),
-                        )
-                        for chunk in chunks
-                    ],
+        executor = SerialCellExecutor(pipeline, tel, REPLAY_POLICY)
+    else:
+        sweep = SweepSpec(spec.pipeline, spec.grid)
+        executor = ProcessCellExecutor(sweep, jobs, REPLAY_POLICY, telemetry=tel)
+    streamed: list[list[UserReplay]] = [[] for _ in configs]
+    with tel.span("replay", jobs=jobs, cells=len(tasks)):
+        for index, (cell, outcome) in enumerate(executor.run_cells(tasks)):
+            failure = outcome.failure
+            if failure is not None:
+                raise CellQuarantinedError(
+                    f"replay of {cell.model} for users {list(cell.users)} "
+                    f"quarantined after {failure.attempts} attempt(s): "
+                    f"{failure.kind} {failure.error}: {failure.message}"
                 )
-            )
-        for config, handles in pending:
-            with tel.span("replay_model", model=config.model, source=spec.source):
-                users = tuple(
-                    user
-                    for handle in handles
-                    for user in handle.get(timeout=REPLAY_TASK_TIMEOUT_SECONDS)
-                )
-            results.append(_model_replay(spec, config, users, tel))
-    return results
+            if outcome.skipped is not None:
+                raise ConfigurationError(outcome.skipped)
+            streamed[index // len(chunks)].extend(outcome.replays)
+    return [
+        _model_replay(spec, config, tuple(replays), tel)
+        for config, replays in zip(configs, streamed)
+    ]

@@ -44,7 +44,6 @@ from repro.experiments.configs import ModelConfig
 from repro.experiments.executors import Cell, CellOutcome, SerialCellExecutor
 from repro.experiments.supervision import CellFailure
 from repro.obs.events import EventLog
-from repro.obs.profiler import active_sampler
 from repro.obs.progress import (
     ProgressLineSink,
     SweepProgressTracker,
@@ -289,14 +288,12 @@ class SweepRunner:
         configurations = list(configurations)
         if executor is None:
             executor = SerialCellExecutor(self.pipeline, telemetry=tel)
-        elif getattr(executor, "telemetry", None) is None and hasattr(
-            executor, "telemetry"
-        ):
+        elif executor.telemetry is None:
             # Caller-built executors inherit the runner's telemetry, so
-            # their supervision counters and retry events land in the
-            # same stream as the sweep's own.
+            # their supervision counters, retry events and worker
+            # telemetry land in the same stream as the sweep's own.
             executor.telemetry = tel
-        jobs = getattr(executor, "jobs", 1)
+        jobs = executor.jobs
 
         # The tracker folds the event stream into live progress state;
         # its snapshots become the sweep_progress heartbeats below.
@@ -390,18 +387,7 @@ class SweepRunner:
                         label=cell.label,
                         source=cell.source,
                     )
-                # When this process is being profiled, workers sample
-                # themselves at the same rate; their profiles merge into
-                # the active sampler via Telemetry.absorb below.
-                profiling = active_sampler()
-                for cell, outcome in executor.run_cells(
-                    pending,
-                    collect_telemetry=tel.enabled,
-                    sample_resources=tel.resources is not None,
-                    profile_hz=profiling.hz if profiling is not None else None,
-                ):
-                    if outcome.telemetry is not None:
-                        tel.absorb(outcome.telemetry)
+                for cell, outcome in executor.run_cells(pending):
                     tel.count("sweep.cells.joined")
                     events.emit(
                         "cell_joined",

@@ -22,6 +22,7 @@ the token distance within a biterm (paper: ``r = 30``).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from operator import mul, truediv
 
@@ -95,8 +96,8 @@ class BitermTopicModel(TopicModel):
         self._n_topics = n_topics
         self.alpha = 50.0 / n_topics if alpha is None else alpha
         self.beta = beta
-        if min(self.alpha, beta) <= 0:
-            raise ConfigurationError("alpha and beta must both be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.alpha, beta)):
+            raise ConfigurationError("alpha and beta must both be finite and > 0")
         self.window = window
         self.max_biterms = max_biterms
         self._phi: np.ndarray | None = None  # K x V

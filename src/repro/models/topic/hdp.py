@@ -25,6 +25,7 @@ learned ``φ`` and the asymmetric prior ``α·β_k``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -68,8 +69,8 @@ class HdpModel(TopicModel):
         **kwargs,
     ):
         super().__init__(**kwargs)
-        if min(alpha, gamma, eta) <= 0:
-            raise ConfigurationError("alpha, gamma and eta must all be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (alpha, gamma, eta)):
+            raise ConfigurationError("alpha, gamma and eta must all be finite and > 0")
         if initial_topics < 1 or max_topics < initial_topics:
             raise ConfigurationError(
                 f"need 1 <= initial_topics <= max_topics, got {initial_topics}, {max_topics}"

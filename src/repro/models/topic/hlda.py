@@ -110,8 +110,8 @@ class HldaModel(TopicModel):
         super().__init__(**kwargs)
         if levels < 1:
             raise ConfigurationError(f"levels must be >= 1, got {levels}")
-        if min(alpha, beta, gamma) <= 0:
-            raise ConfigurationError("alpha, beta and gamma must all be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (alpha, beta, gamma)):
+            raise ConfigurationError("alpha, beta and gamma must all be finite and > 0")
         self.levels = levels
         self.alpha = alpha
         self.beta = beta

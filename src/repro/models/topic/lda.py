@@ -16,6 +16,7 @@ topic-word counts frozen (:func:`~repro.models.topic.gibbs.fold_in`).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -56,8 +57,8 @@ class LdaModel(TopicModel):
         self._n_topics = n_topics
         self.alpha = 50.0 / n_topics if alpha is None else alpha
         self.beta = beta
-        if min(self.alpha, beta) <= 0:
-            raise ConfigurationError("alpha and beta must both be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.alpha, beta)):
+            raise ConfigurationError("alpha and beta must both be finite and > 0")
         self._phi: np.ndarray | None = None  # K x V topic-word distributions
 
     @property

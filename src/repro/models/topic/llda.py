@@ -19,6 +19,7 @@ topics plus any label topics whose words it shares.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -59,8 +60,8 @@ class LabeledLdaModel(TopicModel):
         super().__init__(**kwargs)
         if n_latent_topics < 1:
             raise ConfigurationError(f"n_latent_topics must be >= 1, got {n_latent_topics}")
-        if beta <= 0 or (alpha is not None and alpha <= 0):
-            raise ConfigurationError("alpha and beta must both be > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (alpha, beta) if x is not None):
+            raise ConfigurationError("alpha and beta must both be finite and > 0")
         self.n_latent_topics = n_latent_topics
         self._alpha_param = alpha
         self.beta = beta

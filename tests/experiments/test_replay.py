@@ -9,14 +9,17 @@ produces the same per-user digests as a serial one.
 from __future__ import annotations
 
 import dataclasses
+import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.core.sources import RepresentationSource
-from repro.errors import ConfigurationError
+from repro.errors import CellQuarantinedError, ConfigurationError
 from repro.experiments.executors import GridSpec, PipelineSpec
 from repro.experiments.replay import (
+    REPLAY_POLICY,
     ModelReplay,
     ReplaySpec,
     UserReplay,
@@ -25,7 +28,10 @@ from repro.experiments.replay import (
     run_replay,
 )
 from repro.experiments.standard import bench_grid
+from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FAULT_PLAN_ENV
 from repro.models.graph import NGramGraph
+from repro.obs.telemetry import Telemetry
 from repro.twitter.dataset import DatasetConfig, generate_dataset, select_user_groups
 from repro.twitter.entities import UserType
 
@@ -74,6 +80,17 @@ class TestSpecValidation:
     def test_zero_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             run_replay(SPEC, jobs=0)
+
+    def test_pick_missing_from_grid_rejected_in_parent(self):
+        """Configurations resolve through the spec's own grid: at half
+        the topic scale the grid has no 15-topic LDA, so the fast-grid
+        pick is refused before any worker starts."""
+        spec = dataclasses.replace(
+            SPEC, grid=GridSpec(topic_scale=0.05, seed=7), models=("LDA",)
+        )
+        with pytest.raises(ConfigurationError, match="no matching configuration"):
+            run_replay(spec, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_spec_is_picklable(self):
         import pickle
@@ -174,6 +191,69 @@ class TestSerialReplay:
             u.digest for u in serial_tn.users
         ]
         assert parallel[0].exact
+
+
+def _digests(replays: list[ModelReplay]) -> dict[tuple[str, int], str]:
+    return {(r.model, u.user): u.digest for r in replays for u in r.users}
+
+
+def _no_workers_left() -> bool:
+    for child in multiprocessing.active_children():
+        child.join(timeout=5.0)
+    return multiprocessing.active_children() == []
+
+
+class TestReplayCells:
+    """``--jobs`` replay runs as supervised executor cells."""
+
+    def test_jobs_replay_carries_worker_telemetry(self):
+        spec = dataclasses.replace(SPEC, models=("TN", "LDA"))
+        serial, parallel = Telemetry(), Telemetry()
+        serial_replays = run_replay(spec, telemetry=serial)
+        parallel_replays = run_replay(spec, jobs=2, telemetry=parallel)
+        assert _digests(parallel_replays) == _digests(serial_replays)
+
+        metrics = parallel.metrics.snapshot()
+        assert metrics["docs.tokenized"]["value"] > 0
+        assert metrics["gibbs.iterations"]["value"] > 0
+        for name in ("replay.users", "replay.updates"):
+            assert metrics[name] == serial.metrics.snapshot()[name]
+
+        # Two models x two user chunks, each a worker-attributed
+        # ``config`` span grafted under the parent's replay span.
+        (replay_span,) = [s for s in parallel.tracer.to_payload() if s["name"] == "replay"]
+        cells = [c for c in replay_span["children"] if c["name"] == "config"]
+        assert len(cells) == 4
+        assert {c["attributes"]["worker"] for c in cells} <= {0, 1}
+
+    def test_flaky_cell_recovers_with_clean_digests(self, monkeypatch):
+        """A fault bounded by ``times=1`` fails the first attempt of
+        each TN cell; the retries succeed with the fault-free digests."""
+        spec = dataclasses.replace(SPEC, models=("TN", "TNG"))
+        clean = run_replay(spec, jobs=2)
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="raise", stage="fit", model="TN", times=1),)
+        )
+        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan.to_dict()))
+        telemetry = Telemetry()
+        flaky = run_replay(spec, jobs=2, telemetry=telemetry)
+        assert _digests(flaky) == _digests(clean)
+        assert telemetry.metrics.snapshot()["sweep.cell.retry"]["value"] == 2
+
+    def test_crashing_cell_raises_typed_error_and_leaks_no_workers(self, monkeypatch):
+        """A worker that dies on every attempt exhausts the replay
+        policy's attempts and surfaces as a typed error naming the
+        model and its users -- not as a wait on a dead worker."""
+        spec = dataclasses.replace(SPEC, models=("TN",))
+        plan = FaultPlan(faults=(FaultSpec(kind="crash", stage="fit", model="TN"),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan.to_dict()))
+        attempts = REPLAY_POLICY.retry.max_attempts
+        with pytest.raises(CellQuarantinedError) as raised:
+            run_replay(spec, jobs=2)
+        message = str(raised.value)
+        assert message.startswith("replay of TN for users [")
+        assert f"after {attempts} attempt(s): crash WorkerCrashError" in message
+        assert _no_workers_left()
 
 
 class TestAggregates:

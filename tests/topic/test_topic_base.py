@@ -13,7 +13,11 @@ from hypothesis.extra.numpy import arrays
 from repro.errors import ConfigurationError, EmptyCorpusError
 from repro.models.base import TextDoc
 from repro.models.topic.base import dense_centroid, dense_cosine, dense_rocchio
+from repro.models.topic.btm import BitermTopicModel
+from repro.models.topic.hdp import HdpModel
+from repro.models.topic.hlda import HldaModel
 from repro.models.topic.lda import LdaModel
+from repro.models.topic.llda import LabeledLdaModel
 
 
 class TestDenseCosine:
@@ -128,3 +132,31 @@ class TestTopicModelProtocol:
             model.fit(tiny_corpus, user_ids=tiny_user_ids)
             thetas.append(model.represent(tiny_corpus[0]))
         assert np.allclose(thetas[0], thetas[1])
+
+
+#: Every Dirichlet/concentration hyperparameter a topic model takes.
+HYPERPARAMETERS = [
+    (LdaModel, "alpha"),
+    (LdaModel, "beta"),
+    (LabeledLdaModel, "alpha"),
+    (LabeledLdaModel, "beta"),
+    (BitermTopicModel, "alpha"),
+    (BitermTopicModel, "beta"),
+    (HdpModel, "alpha"),
+    (HdpModel, "gamma"),
+    (HdpModel, "eta"),
+    (HldaModel, "alpha"),
+    (HldaModel, "beta"),
+    (HldaModel, "gamma"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    ("model_cls", "name"), HYPERPARAMETERS, ids=[f"{c.name}-{n}" for c, n in HYPERPARAMETERS]
+)
+def test_non_finite_hyperparameter_rejected_at_construction(model_cls, name, value):
+    """``min(...) <= 0`` is False for NaN, so a NaN prior used to reach
+    the sampler; inf is rejected with it."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        model_cls(**{name: value})
