@@ -1,20 +1,17 @@
 """RPR005: spans and samplers are entered via ``with``.
 
-Three obs callables return context managers whose ``__exit__`` does the
+Two obs callables return context managers whose ``__exit__`` does the
 work that makes a measurement trustworthy:
 
 * ``Tracer.span`` stamps the duration and unwinds the span stack in its
   ``finally``. A span that is never entered leaks an un-timed span into
   the tree, and the trace's per-phase rollups -- the Figure 7
   TTime/ETime decomposition -- stop adding up.
-* :class:`~repro.obs.resources.ResourceSampler` joins its background
-  sampling thread. A sampler that is never exited keeps waking to fold
-  RSS readings into dead watches, taking GIL time from the code that
-  follows.
-* :class:`~repro.obs.profiler.StackSampler` joins its thread, banks the
+* :class:`~repro.obs.sampling.Sampler` joins its thread, banks the
   sampled wall clock and releases the process's single active-sampler
-  slot. A leaked one blocks every later ``repro profile`` run in the
-  process.
+  slot. A sampler that is never exited keeps waking to read RSS and
+  walk stacks, taking GIL time from the code that follows, and blocks
+  every later ``repro profile`` run in the process.
 
 A call is entered when it is a ``with`` item or an
 ``ExitStack.enter_context`` argument. Delegation is allowed too: a
@@ -74,15 +71,9 @@ TRACKED = (
         guarantee="the duration is stamped and the span stack unwinds",
     ),
     Tracked(
-        name="ResourceSampler",
-        modules=("repro.obs.resources", "repro.obs"),
-        delegation=("resource_sampler", "sampler"),
-        guarantee="the sampling thread is always joined",
-    ),
-    Tracked(
-        name="StackSampler",
-        modules=("repro.obs.profiler", "repro.obs"),
-        delegation=("stack_sampler", "profiler", "sampler"),
+        name="Sampler",
+        modules=("repro.obs.sampling", "repro.obs"),
+        delegation=("sampler",),
         guarantee=(
             "the sampling thread is always joined and the active-sampler "
             "slot released"

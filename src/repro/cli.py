@@ -19,11 +19,12 @@ Commands
 ``evaluate`` and ``sweep`` accept observability flags: ``--trace-out
 trace.json`` saves a span trace (manifest + per-phase timing tree +
 metrics), ``--log-json [PATH]`` streams structured JSON-lines events
-(to stderr when no path is given), and ``--profile-resources`` runs a
-background RSS/CPU sampler so every span also records its memory cost.
-A saved trace renders as a per-phase tree with ``report --artifact
-timing-breakdown --trace trace.json`` (or ``resource-breakdown`` for
-the memory columns).
+(to stderr when no path is given), and ``--profile-resources`` runs the
+background sampler so every span also records its memory cost and the
+trace carries a stack profile. A saved trace renders as a per-phase
+tree with ``report --artifact timing-breakdown --trace trace.json`` (or
+``resource-breakdown`` for the memory columns, ``hotspots`` for the
+profile).
 
 A running sweep narrates itself: executors emit heartbeat events (cell
 started/finished with worker id and attempt, EWMA cell rate, ETA) into
@@ -113,9 +114,8 @@ from repro.experiments.standard import bench_grid, fast_grid
 from repro.obs import (
     DEFAULT_HZ,
     JsonLinesSink,
-    ResourceSampler,
     RunManifest,
-    StackSampler,
+    Sampler,
     Telemetry,
     active_sampler,
     collapsed_stacks,
@@ -185,8 +185,9 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--profile-resources", action="store_true",
-        help="sample RSS/CPU per span so the trace carries memory columns "
-             "(render with report --artifact resource-breakdown)",
+        help="sample RSS/CPU per span and stacks so the trace carries memory "
+             "columns (report --artifact resource-breakdown) and a profile "
+             "(report --artifact hotspots)",
     )
 
 
@@ -197,16 +198,18 @@ def _telemetry_scope(
     """Telemetry wired from the observability flags, for one command run.
 
     Yields None when no flag asked for telemetry. Otherwise the scope
-    owns the whole lifecycle: the resource sampler (from
-    ``--profile-resources``) starts before and stops after the command
-    body, the manifest's wall clock is stamped, the trace is saved and
-    the JSON-lines sink is closed -- also on error, so an interrupted
-    run still leaves a readable partial trace.
+    owns the whole lifecycle: the sampler (from ``--profile-resources``)
+    runs for the command body, the manifest's wall clock is stamped,
+    the trace is saved -- with the sampler's profile, once the sampler
+    has exited and banked its wall time -- and the JSON-lines sink is
+    closed, also on error, so an interrupted run still leaves a
+    readable partial trace.
 
-    An active :class:`StackSampler` (the ``repro profile`` wrapper)
-    also forces telemetry on: the profiler needs open spans for
-    attribution, and worker profile payloads only flow through
-    :meth:`Telemetry.absorb`.
+    An active :class:`Sampler` (the ``repro profile`` wrapper) also
+    forces telemetry on: the profiler needs open spans for attribution,
+    and worker profile payloads only flow through
+    :meth:`Telemetry.absorb`. It serves ``--profile-resources`` too, so
+    the process runs one sampling thread.
     """
     if not (
         args.trace_out
@@ -217,9 +220,6 @@ def _telemetry_scope(
         yield None
         return
     with ExitStack() as stack:
-        sampler = (
-            stack.enter_context(ResourceSampler()) if args.profile_resources else None
-        )
         manifest = RunManifest.create(
             seed=args.seed,
             dataset={
@@ -231,17 +231,22 @@ def _telemetry_scope(
             models=list(models),
             command=command,
         )
-        telemetry = Telemetry(manifest=manifest, resources=sampler)
+        telemetry = Telemetry(manifest=manifest)
         if args.log_json:
             sink = JsonLinesSink(args.log_json)
             stack.callback(sink.close)
             telemetry.events.add_sink(sink)
+        sampler = None
         try:
-            yield telemetry
+            with ExitStack() as sampling:
+                if args.profile_resources and active_sampler() is None:
+                    sampler = sampling.enter_context(Sampler())
+                yield telemetry
         finally:
             manifest.finish()
             if args.trace_out:
-                path = telemetry.save_trace(args.trace_out)
+                profile = sampler.profile if sampler is not None else None
+                path = telemetry.save_trace(args.trace_out, profile)
                 print(f"trace written to {path}")
 
 
@@ -522,7 +527,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"profile: cannot wrap {rest[0]!r}; profileable commands: "
             "sweep, replay, evaluate (or the 'diff' subcommand)"
         )
-    with StackSampler(hz=args.hz) as sampler:
+    with Sampler(hz=args.hz) as sampler:
         code = main(rest)
     profile = sampler.profile
     path = profile.save(args.out)

@@ -56,8 +56,7 @@ from repro.experiments.supervision import CellFailure, SupervisionPolicy
 from repro.faults.injector import maybe_armed
 from repro.faults.plan import FaultPlan
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.profiler import StackSampler, active_sampler
-from repro.obs.resources import ResourceSampler
+from repro.obs.sampling import Sampler, active_sampler
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.twitter.dataset import DatasetConfig, generate_dataset
 
@@ -211,8 +210,16 @@ class Cell:
 
     @property
     def key(self) -> str:
-        """Stable cell identity: journal key and event correlation id."""
-        return f"{self.model}|{self.source}|{self.params_key}"
+        """Stable cell identity: journal key and event correlation id.
+
+        A sweep cell is one (configuration, source). A cell with its own
+        job (a replay chunk) also names its users, since one
+        configuration then runs as several cells over disjoint users.
+        """
+        key = f"{self.model}|{self.source}|{self.params_key}"
+        if self.job is _evaluate:
+            return key
+        return f"{key}|users={','.join(map(str, self.users))}"
 
 
 @dataclass
@@ -338,10 +345,9 @@ def evaluate_cell(
     spec: SweepSpec,
     cell: Cell,
     collect_telemetry: bool = False,
-    sample_resources: bool = False,
     attempt: int = 1,
     fault_plan: FaultPlan | None = None,
-    profile_hz: float | None = None,
+    sample_hz: float | None = None,
 ) -> CellOutcome:
     """Run one attempt at one cell against a worker-local pipeline.
 
@@ -350,15 +356,12 @@ def evaluate_cell(
     configuration index are cached per process, so corpus preparation
     and preprocessing amortise across all cells a worker receives.
 
-    With ``sample_resources`` a worker-local
-    :class:`~repro.obs.resources.ResourceSampler` runs for the duration
-    of the cell, so the spans shipped back in ``outcome.telemetry``
-    carry this *worker process's* RSS peaks -- the parent's own sampler
-    cannot see across the process boundary. ``profile_hz`` does the
-    same for stack sampling: a worker-local
-    :class:`~repro.obs.profiler.StackSampler` runs at that rate and the
-    resulting profile document ships back under
-    ``outcome.telemetry["profile"]`` for
+    With ``sample_hz`` (the parent sampler's rate) a worker-local
+    :class:`~repro.obs.sampling.Sampler` runs at that rate for the
+    duration of the cell -- the parent's own sampler cannot see across
+    the process boundary. The spans shipped back in
+    ``outcome.telemetry`` carry this *worker process's* RSS peaks, and
+    its profile ships under ``outcome.telemetry["profile"]`` for
     :meth:`~repro.obs.telemetry.Telemetry.absorb` to merge.
 
     ``attempt`` and ``fault_plan`` belong to supervision: the attempt
@@ -372,15 +375,11 @@ def evaluate_cell(
     config = spec.grid.config(cell.model, cell.params_key)
     pipeline = _worker_pipeline(spec.pipeline)
     with ExitStack() as stack:
-        telemetry = None
-        profiler = None
+        telemetry = sampler = None
         if collect_telemetry:
-            sampler = (
-                stack.enter_context(ResourceSampler()) if sample_resources else None
-            )
-            telemetry = Telemetry(resources=sampler)
-            if profile_hz is not None:
-                profiler = stack.enter_context(StackSampler(hz=profile_hz))
+            telemetry = Telemetry()
+            if sample_hz is not None:
+                sampler = stack.enter_context(Sampler(hz=sample_hz))
         events = MemorySink()
         if telemetry is not None:
             telemetry.events.add_sink(events)
@@ -390,17 +389,17 @@ def evaluate_cell(
             outcome = _attempt(pipeline, config, cell, tel, fault_plan, attempt)
         finally:
             pipeline.telemetry = None
-    # Assembled after the ExitStack closes: the samplers' final
-    # accounting (resource windows, profile wall_seconds) lands on
-    # __exit__, so snapshotting earlier would under-report.
+    # Assembled after the ExitStack closes: the sampler's final
+    # accounting (profile wall_seconds) lands on __exit__, so
+    # snapshotting earlier would under-report.
     if telemetry is not None:
         outcome.telemetry = {
             "spans": telemetry.tracer.to_payload(),
             "events": list(events.records),
             "metrics": telemetry.metrics.snapshot(),
         }
-        if profiler is not None:
-            outcome.telemetry["profile"] = profiler.profile.to_dict()
+        if sampler is not None:
+            outcome.telemetry["profile"] = sampler.profile.to_dict()
     return outcome
 
 
@@ -430,8 +429,8 @@ class SerialCellExecutor:
         self.fault_plan = fault_plan
 
     def run_cells(self, tasks: Sequence[CellTask]) -> Iterator[tuple[Cell, CellOutcome]]:
-        # In-process cells record through the caller's telemetry, whose
-        # own resource sampler / stack profiler (if any) covers them.
+        # In-process cells record through the caller's telemetry, and
+        # the process's own sampler (if any) covers them.
         tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
         events = tel.events if tel.enabled else EventLog()
         plan = self.fault_plan if self.fault_plan is not None else FaultPlan.from_env()
@@ -500,9 +499,8 @@ def _pool_worker(task_queue, result_queue) -> None:
                 spec,
                 cell,
                 collect_telemetry,
-                sample_resources,
                 plan,
-                profile_hz,
+                sample_hz,
             ) = pickle.loads(blob)
         except Exception as error:
             result_queue.put(("error", -1, type(error).__name__, str(error)))
@@ -512,10 +510,9 @@ def _pool_worker(task_queue, result_queue) -> None:
                 spec,
                 cell,
                 collect_telemetry,
-                sample_resources,
                 attempt=attempt,
                 fault_plan=plan,
-                profile_hz=profile_hz,
+                sample_hz=sample_hz,
             )
         except Exception as error:
             result_queue.put(("error", index, type(error).__name__, str(error)))
@@ -653,14 +650,12 @@ class _Supervisor:
         self.tel = tel
         self.events = tel.events if tel.enabled else EventLog()
         self.plan = plan
-        # Workers collect telemetry only when the parent does, sample
-        # their own RSS when it samples resources, and profile
-        # themselves at the rate of this process's active profiler,
-        # whose profile Telemetry.absorb merges them into.
+        # Workers collect telemetry only when the parent does, and
+        # sample themselves at the rate of this process's active
+        # sampler, whose profile Telemetry.absorb merges theirs into.
         self.collect_telemetry = tel.enabled
-        self.sample_resources = tel.resources is not None
-        profiling = active_sampler()
-        self.profile_hz = profiling.hz if profiling is not None else None
+        sampler = active_sampler()
+        self.sample_hz = sampler.hz if sampler is not None else None
         #: Min-heap of (not-before monotonic time, cell index, attempt).
         self.ready: list[tuple[float, int, int]] = [
             (0.0, index, 1) for index in range(len(cells))
@@ -677,9 +672,8 @@ class _Supervisor:
                 self.executor.spec,
                 self.cells[index],
                 self.collect_telemetry,
-                self.sample_resources,
                 self.plan,
-                self.profile_hz,
+                self.sample_hz,
             )
         )
 

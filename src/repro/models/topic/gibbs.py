@@ -43,7 +43,7 @@ from operator import add, mul, truediv
 import numpy as np
 
 from repro.errors import SamplingWeightsError
-from repro.obs.resources import read_rss_bytes
+from repro.obs.sampling import read_rss_bytes
 
 __all__ = [
     "FoldIn",
@@ -128,9 +128,9 @@ def draw_index(weights: np.ndarray, uniform: float, model: str) -> int:
 
     ``np.searchsorted`` is avoided: it drops and retakes the GIL on
     every call, and one release per token lets the sampling thread keep
-    losing the GIL race to the sampler loop, so a StackSampler or
-    ResourceSampler watching a fit could go hundreds of ms without a
-    sample.
+    losing the GIL race to the sampler loop, so a
+    :class:`~repro.obs.sampling.Sampler` watching a fit could go
+    hundreds of ms without a sample.
     """
     total = _training_total(float(np.add.reduce(weights)), model)
     return bisect_left(np.add.accumulate(weights[:-1]).tolist(), uniform * total)

@@ -11,8 +11,10 @@ Eight primitives, one facade:
   with pluggable sinks;
 * :mod:`repro.obs.manifest`  -- :class:`RunManifest` provenance records
   (seed, dataset, grid, version, wall clock);
-* :mod:`repro.obs.resources` -- :class:`ResourceSampler` background RSS
-  / CPU sampling that attaches cost measurements to spans;
+* :mod:`repro.obs.sampling`  -- :class:`Sampler`, the process's one
+  background sampling thread: each tick takes one span-attributed stack
+  sample and folds an RSS reading into the open spans' resource windows
+  (per-span ``peak_rss_bytes`` and ``cpu_seconds``);
 * :mod:`repro.obs.progress`  -- :class:`SweepProgressTracker` live
   sweep state (done/total, worker occupancy, EWMA rate, ETA) computed
   from the event stream, plus the console progress sinks and the
@@ -21,9 +23,8 @@ Eight primitives, one facade:
   (:func:`chrome_trace_events`, Perfetto-loadable), Prometheus text
   exposition (:func:`prometheus_exposition`) and flamegraph
   (:func:`collapsed_stacks`, :func:`speedscope_document`) exporters;
-* :mod:`repro.obs.profiler`  -- :class:`StackSampler` statistical
-  stack sampling with span attribution, mergeable :class:`Profile`
-  documents, hotspot reports and profile diffing;
+* :mod:`repro.obs.profiler`  -- the sampler's mergeable
+  :class:`Profile` documents of span-attributed collapsed stacks;
 * :mod:`repro.obs.telemetry` -- the :class:`Telemetry` facade the
   pipeline is instrumented against, and its zero-overhead
   :data:`NULL_TELEMETRY` twin.
@@ -42,13 +43,7 @@ from repro.obs.export import (
 )
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiler import (
-    DEFAULT_HZ,
-    Profile,
-    StackSampler,
-    active_sampler,
-    load_profile,
-)
+from repro.obs.profiler import DEFAULT_HZ, Profile, load_profile
 from repro.obs.progress import (
     ProgressLineSink,
     SweepProgressTracker,
@@ -64,7 +59,7 @@ from repro.obs.report import (
     format_resource_breakdown,
     format_timing_breakdown,
 )
-from repro.obs.resources import ResourceSampler, ResourceWatch, read_rss_bytes
+from repro.obs.sampling import ResourceWatch, Sampler, active_sampler, read_rss_bytes
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -86,13 +81,12 @@ __all__ = [
     "NullTelemetry",
     "Profile",
     "ProgressLineSink",
-    "ResourceSampler",
     "ResourceWatch",
     "RunManifest",
+    "Sampler",
     "Sink",
     "Span",
     "SpanStopwatch",
-    "StackSampler",
     "SweepProgressTracker",
     "Telemetry",
     "Tracer",

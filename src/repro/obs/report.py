@@ -10,7 +10,7 @@ as rolled up from the span tree.
 
 ``--artifact resource-breakdown`` renders the same merged tree with
 the memory and CPU columns recorded by a
-:class:`~repro.obs.resources.ResourceSampler` (``--profile-resources``
+:class:`~repro.obs.sampling.Sampler` (``--profile-resources``
 runs): per-phase CPU seconds and peak RSS, the dimension behind the
 paper's PLSA-memory exclusion.
 """

@@ -25,8 +25,8 @@ from repro.eval.timing import Stopwatch
 from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import Profile, active_sampler
-from repro.obs.resources import ResourceSampler
+from repro.obs.profiler import Profile
+from repro.obs.sampling import active_sampler
 from repro.obs.tracing import Span, Tracer, current_span_path
 
 __all__ = ["NULL_TELEMETRY", "NullTelemetry", "Telemetry", "load_trace"]
@@ -46,22 +46,11 @@ class Telemetry:
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
         manifest: RunManifest | None = None,
-        resources: ResourceSampler | None = None,
     ):
-        self.tracer = tracer if tracer is not None else Tracer(resources=resources)
-        if resources is not None:
-            self.tracer.resources = resources
+        self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
         self.manifest = manifest
-        #: Absorbed worker stack profiles, when no process-wide sampler
-        #: is active to receive them (see :meth:`absorb`).
-        self.profile: Profile | None = None
-
-    @property
-    def resources(self) -> ResourceSampler | None:
-        """The sampler feeding span resource windows, if any."""
-        return self.tracer.resources
 
     # -- recording ----------------------------------------------------------
 
@@ -92,10 +81,9 @@ class Telemetry:
         ``metrics`` (a registry snapshot, folded in via
         :meth:`~repro.obs.metrics.MetricsRegistry.merge`) and
         ``profile`` (a worker's stack-profile document, folded into the
-        process's active :class:`~repro.obs.profiler.StackSampler` when
-        one is running -- the ``repro profile`` wrapper -- else into
-        this telemetry's own :attr:`profile` accumulator, so ``--jobs
-        N`` yields one merged profile with the serial schema).
+        process's active :class:`~repro.obs.sampling.Sampler`, so
+        ``--jobs N`` yields one merged profile with the serial schema;
+        workers sample only while the parent does).
 
         When the executor stamped ``worker``/``attempt`` attribution
         onto the payload (the process pool does, at join time), it is
@@ -121,30 +109,22 @@ class Telemetry:
             self.events.forward(record)
         self.metrics.merge(payload.get("metrics", {}))
         profile_payload = payload.get("profile")
-        if profile_payload:
+        sampler = active_sampler()
+        if profile_payload and sampler is not None:
             # Prefix worker stacks with the joining thread's open spans
             # (the sweep span, typically) so merged phase paths read
             # exactly like a serial run's -- the attach() analogue.
-            prefix = current_span_path()
-            sampler = active_sampler()
-            if sampler is not None:
-                sampler.profile.merge(profile_payload, prefix=prefix)
-            else:
-                if self.profile is None:
-                    self.profile = Profile(
-                        hz=float(profile_payload.get("hz", 0.0) or 1.0)
-                    )
-                self.profile.merge(profile_payload, prefix=prefix)
+            sampler.profile.merge(profile_payload, prefix=current_span_path())
 
     # -- persistence --------------------------------------------------------
 
-    def trace_payload(self) -> dict[str, object]:
+    def trace_payload(self, profile: Profile | None = None) -> dict[str, object]:
         """The JSON-ready trace document: manifest + spans + metrics.
 
-        When worker profiles were absorbed without an active sampler,
-        the merged profile rides along under ``"profile"``, so
-        ``repro export profile`` / ``report --artifact hotspots`` can
-        read it straight from the trace file.
+        A given ``profile`` (the run's sampler's, once it has exited)
+        rides along under ``"profile"``, so ``repro export profile`` /
+        ``report --artifact hotspots`` can read it straight from the
+        trace file.
         """
         payload: dict[str, object] = {
             "version": TRACE_FORMAT_VERSION,
@@ -152,15 +132,17 @@ class Telemetry:
             "spans": self.tracer.to_payload(),
             "metrics": self.metrics.snapshot(),
         }
-        if self.profile is not None:
-            payload["profile"] = self.profile.to_dict()
+        if profile is not None:
+            payload["profile"] = profile.to_dict()
         return payload
 
-    def save_trace(self, path: str | Path) -> Path:
-        """Write the trace document to ``path`` as JSON."""
+    def save_trace(self, path: str | Path, profile: Profile | None = None) -> Path:
+        """Write the trace document (see :meth:`trace_payload`) to ``path``."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.trace_payload(), indent=1, sort_keys=True))
+        path.write_text(
+            json.dumps(self.trace_payload(profile), indent=1, sort_keys=True)
+        )
         return path
 
 

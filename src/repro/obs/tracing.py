@@ -23,24 +23,20 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
-
 from repro.eval.timing import Stopwatch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.resources import ResourceSampler
+from repro.obs import sampling
 
 __all__ = ["Span", "SpanStopwatch", "Tracer", "current_span_path"]
 
 
-#: Open-span stacks per thread, across every live tracer. The stack
-#: profiler (:mod:`repro.obs.profiler`) reads this from its sampling
-#: thread to tag each captured stack with the innermost active span --
-#: attribution must work whichever Telemetry instance opened the span
-#: (a process may build several), so the registry is keyed by thread,
-#: not by tracer. List append/pop are atomic under the GIL, so
-#: the sampling thread sees a consistent (at worst one-span-stale)
-#: snapshot without locking on the hot path.
+#: Open-span stacks per thread, across every live tracer. The sampler
+#: (:mod:`repro.obs.sampling`) reads this from its thread to tag each
+#: captured stack with the innermost active span -- attribution must
+#: work whichever Telemetry instance opened the span (a process may
+#: build several), so the registry is keyed by thread, not by tracer.
+#: List append/pop are atomic under the GIL, so the sampling thread
+#: sees a consistent (at worst one-span-stale) snapshot without locking
+#: on the hot path.
 _THREAD_SPANS: dict[int, list[str]] = {}
 
 
@@ -50,7 +46,7 @@ def _reset_spans_after_fork() -> None:
     A fork-started worker inherits the parent's registry, where the
     forking thread's ident maps to the parent's open spans (``sweep``
     etc.); left in place they would prefix every stack the worker's own
-    profiler captures. The child's tracers open their spans fresh.
+    sampler captures. The child's tracers open their spans fresh.
     """
     _THREAD_SPANS.clear()
 
@@ -74,8 +70,8 @@ def current_span_path(thread_id: int | None = None) -> tuple[str, ...]:
 class Span:
     """One timed region: name, attributes, duration, children.
 
-    When the tracer has a :class:`~repro.obs.resources.ResourceSampler`
-    attached, ``resources`` carries the span's cost measurements
+    When a :class:`~repro.obs.sampling.Sampler` is active in the process,
+    ``resources`` carries the span's cost measurements
     (``peak_rss_bytes`` and ``cpu_seconds``); it stays empty otherwise
     and is omitted from the serialised form.
     """
@@ -125,14 +121,14 @@ class Tracer:
     """Builds span trees from nested ``span(...)`` context managers.
 
     Spans opened while another span is active become its children;
-    spans opened at the top level collect in :attr:`roots`.
+    spans opened at the top level collect in :attr:`roots`. While a
+    :class:`~repro.obs.sampling.Sampler` is active in the process, every
+    span also gets a resource watch.
     """
 
-    def __init__(self, resources: "ResourceSampler | None" = None) -> None:
+    def __init__(self) -> None:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        #: Optional sampler; when set, every span gets a resource watch.
-        self.resources = resources
 
     @property
     def current(self) -> Span | None:
@@ -148,7 +144,8 @@ class Tracer:
         self._stack.append(span)
         thread_spans = _THREAD_SPANS.setdefault(threading.get_ident(), [])
         thread_spans.append(name)
-        watch = self.resources.watch() if self.resources is not None else None
+        sampler = sampling.active_sampler()
+        watch = sampler.watch() if sampler is not None else None
         start = time.perf_counter()
         try:
             yield span

@@ -254,17 +254,18 @@ class TestErrorTaxonomy:
 
 #: RPR005's tracked callables: the import that binds the name, a call,
 #: the call spelled through a module or receiver chain, and one of the
-#: entry's own delegation names.
+#: entry's own delegation names. The one :class:`Sampler` does the work of
+#: the resource and stack samplers it replaced; it keeps a row for each
+#: role, each bound through one of the two modules that export it.
 TRACKED = [
     pytest.param("", 'tracer.span("train")', 'self.tracer.span("train")',
                  "span", id="span"),
-    pytest.param("from repro.obs.resources import ResourceSampler",
-                 "ResourceSampler(interval=0.01)",
-                 "resources.ResourceSampler()", "resource_sampler",
+    pytest.param("from repro.obs import Sampler",
+                 "Sampler(hz=50.0)", "repro.obs.Sampler()", "sampler",
                  id="ResourceSampler"),
-    pytest.param("from repro.obs.profiler import StackSampler",
-                 "StackSampler(hz=97.0)", "profiler.StackSampler()",
-                 "stack_sampler", id="StackSampler"),
+    pytest.param("from repro.obs.sampling import Sampler",
+                 "Sampler(hz=97.0)", "sampling.Sampler()", "sampler",
+                 id="StackSampler"),
 ]
 
 #: (function def, flagged?); the tracked call is on the def's second line.
@@ -288,13 +289,13 @@ WITH_ONLY_CASES = [
 
 
 class TestWithOnly:
-    """RPR005: spans, ResourceSamplers and StackSamplers enter via `with`."""
+    """RPR005: spans and Samplers enter via `with`."""
 
     @pytest.mark.parametrize("function, flagged", WITH_ONLY_CASES)
     @pytest.mark.parametrize("imports, call, qualified, delegation", TRACKED)
     def test_verdict(self, imports, call, qualified, delegation, function, flagged):
         source = "\n".join([
-            "from repro.obs import profiler, resources",
+            "from repro.obs import sampling",
             imports,
             function.format(call=call, qualified=qualified, delegation=delegation),
         ])
@@ -311,10 +312,10 @@ class TestWithOnly:
         # `span` delegates spans, not samplers.
         assert rules_hit(
             """
-            from repro.obs.profiler import StackSampler
+            from repro.obs.sampling import Sampler
 
             def span(hz):
-                return StackSampler(hz=hz)
+                return Sampler(hz=hz)
             """
         ) == ["RPR005"]
 

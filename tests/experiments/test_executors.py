@@ -71,6 +71,8 @@ class TestSpecs:
         b = Cell(model="TN", params={"weighting": "TF", "n": 1}, label="l",
                  source="R", users=(1, 2))
         assert a.key == b.key
+        # A sweep cell's key (its journal key) does not name its users.
+        assert a.key == f"TN|R|{a.params_key}"
 
 
 class TestParallelParity:

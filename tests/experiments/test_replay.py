@@ -31,6 +31,7 @@ from repro.experiments.standard import bench_grid
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.plan import FAULT_PLAN_ENV
 from repro.models.graph import NGramGraph
+from repro.obs.events import MemorySink
 from repro.obs.telemetry import Telemetry
 from repro.twitter.dataset import DatasetConfig, generate_dataset, select_user_groups
 from repro.twitter.entities import UserType
@@ -225,6 +226,19 @@ class TestReplayCells:
         cells = [c for c in replay_span["children"] if c["name"] == "config"]
         assert len(cells) == 4
         assert {c["attributes"]["worker"] for c in cells} <= {0, 1}
+
+    def test_jobs_replay_cells_have_one_key_per_model_and_chunk(self):
+        # Two models x two user chunks: four cells, whose events and
+        # retry jitter must tell the chunks apart.
+        telemetry = Telemetry()
+        sink = MemorySink()
+        telemetry.events.add_sink(sink)
+        run_replay(SPEC, jobs=2, telemetry=telemetry)
+        for event in ("cell_started", "cell_finished"):
+            keys = [r["cell"] for r in sink.records if r["event"] == event]
+            assert len(keys) == len(set(keys)) == 4
+        chunks = {key.split("|users=")[1] for key in keys}
+        assert len(chunks) == 2
 
     def test_flaky_cell_recovers_with_clean_digests(self, monkeypatch):
         """A fault bounded by ``times=1`` fails the first attempt of

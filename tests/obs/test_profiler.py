@@ -1,4 +1,4 @@
-"""Tests for the statistical stack-sampling profiler.
+"""Tests for stack profiles and the sampler that records them.
 
 Two properties carry the subsystem: merged parallel profiles equal the
 union of the per-worker ones (prefixed under the parent's open span, so
@@ -11,6 +11,7 @@ real Gibbs sampler.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
@@ -25,11 +26,10 @@ from repro.obs.profiler import (
     DEFAULT_HZ,
     MAX_STACK_DEPTH,
     Profile,
-    StackSampler,
     _normalize_filename,
-    active_sampler,
     load_profile,
 )
+from repro.obs.sampling import Sampler, active_sampler
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import Tracer
 from repro.twitter.entities import UserType
@@ -151,42 +151,44 @@ class TestFilenameNormalization:
 
 class TestSamplerLifecycle:
     def test_context_manager_starts_and_joins_the_thread(self):
-        sampler = StackSampler(hz=200.0)  # repro: allow[RPR005] -- entered via `with` below; the test inspects pre-enter state
+        sampler = Sampler(hz=200.0)  # repro: allow[RPR005] -- entered via `with` below; the test inspects pre-enter state
         assert not sampler.sampling and active_sampler() is None
         with sampler as entered:
             assert entered is sampler
             assert sampler.sampling
             assert active_sampler() is sampler
-            assert any(
-                t.name == "repro-stack-sampler" for t in threading.enumerate()
-            )
+            assert any(t.name == "repro-sampler" for t in threading.enumerate())
         assert not sampler.sampling
         assert active_sampler() is None
-        assert all(
-            t.name != "repro-stack-sampler" for t in threading.enumerate()
-        )
+        assert all(t.name != "repro-sampler" for t in threading.enumerate())
 
     def test_one_sampler_per_process(self):
-        with StackSampler(hz=0.001):
+        with Sampler(hz=0.001):
             with pytest.raises(ConfigurationError, match="already active"):
-                StackSampler(hz=0.001).__enter__()  # repro: allow[RPR005] -- raises before sampling starts; nothing to join
+                Sampler(hz=0.001).__enter__()  # repro: allow[RPR005] -- raises before sampling starts; nothing to join
         # The slot frees on exit; the next sampler can enter.
-        with StackSampler(hz=0.001):
+        with Sampler(hz=0.001):
             pass
 
     def test_reentering_a_running_sampler_raises(self):
-        with StackSampler(hz=0.001) as sampler:
+        with Sampler(hz=0.001) as sampler:
             with pytest.raises(ConfigurationError, match="already sampling"):
                 sampler.__enter__()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
-            StackSampler(hz=-1.0)  # repro: allow[RPR005] -- constructor rejects it; never entered
-        with pytest.raises(ConfigurationError):
-            StackSampler(max_depth=0)  # repro: allow[RPR005] -- constructor rejects it; never entered
+            Sampler(hz=-1.0)  # repro: allow[RPR005] -- constructor rejects it; never entered
+
+    @pytest.mark.parametrize("hz", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_must_be_finite_and_positive(self, hz):
+        # An infinite rate would sleep zero seconds between samples.
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            Sampler(hz=hz)  # repro: allow[RPR005] -- constructor rejects it; never entered
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            Profile(hz=hz)
 
     def test_exit_banks_wall_time_and_overhead(self):
-        with StackSampler(hz=500.0) as sampler:
+        with Sampler(hz=500.0) as sampler:
             deadline = time.perf_counter() + 0.05
             while time.perf_counter() < deadline:
                 sum(i * i for i in range(100))
@@ -201,7 +203,7 @@ class TestSamplerLifecycle:
         # A short switch interval hands the GIL to the sampling thread
         # soon after it asks, instead of at the target's next GIL release.
         before = sys.getswitchinterval()
-        with StackSampler(hz=100.0):
+        with Sampler(hz=100.0):
             assert sys.getswitchinterval() == pytest.approx(min(before, 0.001))
         assert sys.getswitchinterval() == before
 
@@ -213,7 +215,7 @@ class TestAttribution:
 
     def test_samples_carry_the_open_span_path(self):
         tracer = Tracer()
-        with StackSampler(hz=0.001) as sampler:
+        with Sampler(hz=0.001) as sampler:
             with tracer.span("evaluate"):
                 with tracer.span("fit"):
                     sampler.sample_once()
@@ -221,11 +223,11 @@ class TestAttribution:
         assert phase == ("evaluate", "fit")
         # Innermost frame is the sampling call itself, taken on the
         # target thread; outermost frames are the test runner's.
-        assert frames[-1][0] == "repro/obs/profiler.py"
+        assert frames[-1][0] == "repro/obs/sampling.py"
         assert frames[-1][1] == "sample_once"
 
     def test_samples_outside_spans_have_an_empty_phase(self):
-        with StackSampler(hz=0.001) as sampler:
+        with Sampler(hz=0.001) as sampler:
             sampler.sample_once()
         ((phase, _frames),) = list(sampler.profile.counts)
         assert phase == ()
@@ -237,11 +239,11 @@ class TestAttribution:
             else:
                 recurse(depth - 1)
 
-        with StackSampler(hz=0.001, max_depth=4) as sampler:
+        with Sampler(hz=0.001) as sampler:
             recurse(MAX_STACK_DEPTH)
         assert sampler.profile.truncated == 1
         ((_phase, frames),) = list(sampler.profile.counts)
-        assert len(frames) == 4
+        assert len(frames) == MAX_STACK_DEPTH
         # The innermost (hot) frames survive truncation.
         assert frames[-1][1] == "sample_once"
         assert frames[-2][1] == "recurse"
@@ -251,22 +253,12 @@ class TestAbsorb:
     def test_worker_profile_merges_into_the_active_sampler(self):
         telemetry = Telemetry()
         worker = _worker_profile({"config/evaluate/fit": 5})
-        with StackSampler(hz=0.001) as sampler:
+        with Sampler(hz=0.001) as sampler:
             with telemetry.span("sweep"):
                 telemetry.absorb({"profile": worker.to_dict()})
         assert sampler.profile.phase_totals() == {
             "sweep/config/evaluate/fit": 5
         }
-
-    def test_without_a_sampler_the_profile_rides_the_trace(self):
-        telemetry = Telemetry()
-        with telemetry.span("sweep"):
-            telemetry.absorb(
-                {"profile": _worker_profile({"config/fit": 2}).to_dict()}
-            )
-        payload = telemetry.trace_payload()
-        embedded = Profile.from_dict(payload["profile"])
-        assert embedded.phase_totals() == {"sweep/config/fit": 2}
 
     def test_merged_profile_is_the_union_of_the_workers(self):
         # The acceptance property behind `--jobs N`: one merged profile
@@ -277,7 +269,7 @@ class TestAbsorb:
             _worker_profile({"config/evaluate/fit": 3}),
         ]
         telemetry = Telemetry()
-        with StackSampler(hz=0.001) as sampler:
+        with Sampler(hz=0.001) as sampler:
             with telemetry.span("sweep"):
                 for worker in workers:
                     telemetry.absorb({"profile": worker.to_dict()})
@@ -298,11 +290,11 @@ class TestSweepAcceptance:
         # Telemetry is what opens the evaluate/fit spans the samples
         # attribute to -- exactly what `repro profile` forces on.
         configs = _configs()[:2]
-        with StackSampler(hz=200.0) as serial_sampler:
+        with Sampler(hz=200.0) as serial_sampler:
             _runner(telemetry=Telemetry()).run(
                 configs, [RepresentationSource.R], groups=[UserType.ALL]
             )
-        with StackSampler(hz=200.0) as parallel_sampler:
+        with Sampler(hz=200.0) as parallel_sampler:
             _runner(telemetry=Telemetry()).run(
                 configs, [RepresentationSource.R], groups=[UserType.ALL],
                 executor=ProcessCellExecutor(SPEC, jobs=2),
@@ -350,7 +342,7 @@ class TestGibbsHotspot:
         corpus = list(tiny_corpus) * 40
         user_ids = [f"u{i % 6}" for i in range(len(corpus))]
         tracer = Tracer()
-        with StackSampler(hz=400.0) as sampler:
+        with Sampler(hz=400.0) as sampler:
             with tracer.span("fit"):
                 deadline = time.perf_counter() + 8.0
                 while time.perf_counter() < deadline:

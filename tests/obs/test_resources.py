@@ -1,10 +1,10 @@
-"""Tests for the resource sampler and its tracer integration.
+"""Tests for the sampler's resource windows and their tracer integration.
 
-The contract under test: every span recorded under a sampler carries a
-``resources`` mapping with CPU seconds and a peak-RSS reading; the
-mapping round-trips through trace serialisation (so worker snapshots
-survive ``Telemetry.absorb``); and the sampler's lifecycle is strictly
-context-managed.
+The contract under test: every span recorded while a sampler is active
+carries a ``resources`` mapping with CPU seconds and a peak-RSS reading;
+the mapping round-trips through trace serialisation (so worker
+snapshots survive ``Telemetry.absorb``); and the sampler's lifecycle is
+strictly context-managed.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import resources as resources_module
-from repro.obs.resources import ResourceSampler, read_rss_bytes
+from repro.obs import sampling as sampling_module
+from repro.obs.sampling import Sampler, read_rss_bytes
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import Span, Tracer
 
@@ -25,24 +25,31 @@ class TestReadRss:
         # A running CPython interpreter occupies at least a few MiB.
         assert rss > 1024 * 1024
 
+    def test_sampler_reads_through_a_descriptor_it_holds_while_sampling(self):
+        with Sampler() as sampler:
+            assert read_rss_bytes(sampler._statm) > 1024 * 1024
+        assert sampler._statm is None
+
 
 class TestLifecycle:
     def test_interval_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ResourceSampler(interval=0.0)  # repro: allow[RPR005] -- asserts the constructor rejects it
+        # An infinite rate would make the interval zero: a thread that
+        # never sleeps.
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            Sampler(hz=float("inf"))  # repro: allow[RPR005] -- asserts the constructor rejects it
 
     def test_double_enter_rejected(self):
-        with ResourceSampler() as sampler:
+        with Sampler() as sampler:
             with pytest.raises(ConfigurationError):
                 sampler.__enter__()
 
     def test_thread_runs_only_inside_the_with_block(self):
-        with ResourceSampler() as sampler:
+        with Sampler() as sampler:
             assert sampler.sampling
         assert not sampler.sampling
 
     def test_reentry_after_exit_is_allowed(self):
-        with ResourceSampler() as sampler:
+        with Sampler() as sampler:
             pass
         with sampler:
             assert sampler.sampling
@@ -50,7 +57,7 @@ class TestLifecycle:
 
 class TestWatches:
     def test_watch_records_cpu_and_rss(self):
-        with ResourceSampler() as sampler:
+        with Sampler() as sampler:
             watch = sampler.watch()
             sum(i * i for i in range(20_000))
             resources = watch.stop()
@@ -60,12 +67,12 @@ class TestWatches:
     def test_short_watch_still_gets_boundary_samples(self):
         # Far shorter than the sampling interval: only the boundary
         # samples taken at watch start/stop can supply the value.
-        with ResourceSampler(interval=60.0) as sampler:
+        with Sampler(hz=1 / 60) as sampler:
             resources = sampler.watch().stop()
         assert "peak_rss_bytes" in resources
 
     def test_concurrent_watches_each_get_peaks(self):
-        with ResourceSampler() as sampler:
+        with Sampler() as sampler:
             outer = sampler.watch()
             inner = sampler.watch()
             inner_resources = inner.stop()
@@ -77,13 +84,13 @@ class TestWatches:
         readings = iter([10_000_000, 30_000_000])
         calls = []
 
-        def fake_read() -> int:
+        def fake_read(statm=None) -> int:
             calls.append(1)
             return next(readings)
 
-        monkeypatch.setattr(resources_module, "read_rss_bytes", fake_read)
+        monkeypatch.setattr(sampling_module, "read_rss_bytes", fake_read)
         # The 60 s interval keeps the background thread from sampling.
-        with ResourceSampler(interval=60.0) as sampler:
+        with Sampler(hz=1 / 60) as sampler:
             outer = sampler.watch()
             assert len(calls) == 1
             assert outer.peak_rss_bytes == 10_000_000
@@ -95,8 +102,8 @@ class TestWatches:
 
 class TestTracerIntegration:
     def test_spans_carry_resources_under_a_sampler(self):
-        with ResourceSampler() as sampler:
-            tracer = Tracer(resources=sampler)
+        tracer = Tracer()
+        with Sampler():
             with tracer.span("fit"):
                 pass
         (span,) = tracer.roots
@@ -120,17 +127,11 @@ class TestTracerIntegration:
         # A worker records spans under its own sampler; the parent
         # absorbs the serialised telemetry. The resource snapshots must
         # ride along unchanged.
-        with ResourceSampler() as sampler:
-            worker = Telemetry(resources=sampler)
+        worker = Telemetry()
+        with Sampler():
             with worker.span("evaluate", model="TN", source="R"):
                 pass
         parent = Telemetry()
         parent.absorb({"spans": worker.tracer.to_payload()})
         (span,) = parent.tracer.roots
         assert span.resources["peak_rss_bytes"] > 0
-
-    def test_telemetry_exposes_its_sampler(self):
-        with ResourceSampler() as sampler:
-            telemetry = Telemetry(resources=sampler)
-            assert telemetry.resources is sampler
-        assert Telemetry().resources is None

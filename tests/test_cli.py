@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.pipeline import ExperimentPipeline
 
 SMALL = ["--users", "16", "--ticks", "40", "--seed", "4",
          "--group-size", "3", "--min-retweets", "3"]
@@ -75,6 +77,14 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "resource breakdown" in out
         assert "peak RSS" in out and "--profile-resources" not in out
+        # The same sampler took stack samples; the trace carries them,
+        # written after the sampler banked its wall time.
+        profile = json.loads(trace_path.read_text())["profile"]
+        assert profile["samples"] > 0 and profile["wall_seconds"] > 0
+        assert main([
+            "report", "--artifact", "hotspots", "--trace", str(trace_path),
+        ]) == 0
+        assert "phase evaluate" in capsys.readouterr().out
 
 
 class TestSweepAndReport:
@@ -396,6 +406,31 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "profile diff" in out
         assert "(no hotspot movement)" in out
+
+    def test_one_sampler_thread_serves_both_instruments(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        seen = []
+        evaluate = ExperimentPipeline.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            seen.append(
+                sum("sampler" in thread.name for thread in threading.enumerate())
+            )
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(ExperimentPipeline, "evaluate", counting_evaluate)
+        out, trace_path = tmp_path / "profile.json", tmp_path / "trace.json"
+        assert main([
+            "profile", "--out", str(out), "--",
+            "evaluate", "--model", "TN", "--profile-resources",
+            "--trace-out", str(trace_path), *SMALL,
+        ]) == 0
+        capsys.readouterr()
+        assert seen == [1]
+        spans = json.loads(trace_path.read_text())["spans"]
+        assert spans[0]["resources"]["peak_rss_bytes"] > 0
+        assert json.loads(out.read_text())["samples"] > 0
 
     def test_diff_requires_two_paths(self):
         with pytest.raises(SystemExit):
