@@ -33,12 +33,21 @@ work: bag and graph models represent each document once per fit key
 similarity measure share one set of profiles (``profile_cache.*``).
 Each reusing evaluation is charged the seconds the shared build took,
 so TTime and ETime stay per-configuration, as in the paper's Fig. 7.
+
+Topic models cannot share representations (a fold-in draws from the
+model's RNG), but within one evaluation each of the profile and rank
+stages represents all users' documents in one batch, in the order a
+user-by-user run would draw them, so the values are the same and the
+batch's fixed cost is paid once per stage (``profiles.fold`` and
+``rank.fold`` spans).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Any
 
 from repro.core.baselines import (
     chronological_ordering,
@@ -60,11 +69,11 @@ from repro.core.stages import (
     canonical_params,
     stage_checkpoint,
 )
-from repro.errors import ConfigurationError, DataGenerationError
+from repro.errors import ConfigurationError, DataGenerationError, ValidationError
 from repro.eval.metrics import average_precision, map_over_users
 from repro.eval.timing import Stopwatch
 from repro.models.aggregation import AggregationFunction
-from repro.models.base import RepresentationModel, TextDoc
+from repro.models.base import Doc, ProfileState, RepresentationModel, TextDoc
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.twitter.dataset import MicroblogDataset
 from repro.twitter.entities import Tweet
@@ -103,6 +112,42 @@ class _PreprocessContext:
 
     factory: DocumentFactory
     doc_cache: dict[int, TextDoc] = field(default_factory=dict)
+
+
+@dataclass
+class _UserSlice:
+    """One user's documents and representations from a stage's batch.
+
+    The slice is positional, never looked up by document: a tweet that
+    two users share is the same document object, and each user's copy
+    keeps its own random fold-in. Called as a ``represent`` function, it
+    hands out the values in order, and each call must pass the very
+    document the batch represented at that position, so a consumer that
+    skips, reorders or repeats documents raises instead of taking
+    another document's representation. ``seconds`` is the user's share
+    of the batch's seconds, by document count.
+    """
+
+    docs: list[Doc]
+    values: list[Any]
+    seconds: float
+    used: int = 0
+
+    def __call__(self, doc: Doc) -> Any:
+        if self.used == len(self.docs) or doc is not self.docs[self.used]:
+            raise ValidationError(
+                f"document {self.used} is not the one the batch represented there"
+            )
+        self.used += 1
+        return self.values[self.used - 1]
+
+    def close(self) -> float:
+        """The user's seconds, once every document has been taken."""
+        if self.used != len(self.docs):
+            raise ValidationError(
+                f"{self.used} of the batch's {len(self.docs)} documents were taken"
+            )
+        return self.seconds
 
 
 @dataclass
@@ -357,6 +402,35 @@ class ExperimentPipeline:
         memo.bind(fitted.key, model if shared else None)
         return memo if shared else None
 
+    def _represent_batch(
+        self, model: RepresentationModel, per_user: list[list[TextDoc]], stage: str
+    ) -> list[_UserSlice]:
+        """Represent every user's documents (in order) in one batch.
+
+        For a model whose representations draw from its RNG (the topic
+        fold-ins), one call draws exactly what one call per user, in
+        user order, would, so the values are the same and the batch's
+        fixed cost is paid once. The batch is the ``<stage>.fold`` span,
+        marked ``charged_to=<stage>``: its seconds are charged to the
+        users' own ``<stage>`` segments, each user's share by document
+        count.
+        """
+        tel = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
+        docs = [doc for user_docs in per_user for doc in user_docs]
+        clock = Stopwatch()
+        with tel.span(f"{stage}.fold", docs=len(docs), charged_to=stage), clock.measure():
+            values = list(model.represent_many(docs))
+        tel.count("fold.batches")
+        tel.count("fold.docs", len(docs))
+        slices = []
+        for user_docs, stop in zip(per_user, accumulate(map(len, per_user))):
+            slices.append(_UserSlice(
+                docs=user_docs,
+                values=values[stop - len(user_docs) : stop],
+                seconds=clock.last * len(user_docs) / max(len(docs), 1),
+            ))
+        return slices
+
     @staticmethod
     def fit_group(source: str, model: RepresentationModel) -> tuple[str, str]:
         """``(source, canonical fit params)``: evaluations in one group
@@ -406,8 +480,12 @@ class ExperimentPipeline:
         With ``share``, documents are represented through the shared
         memo (see :meth:`_shared_for`); a reused representation is
         charged to ``stopwatch`` at the seconds its first build took. A
-        cache hit charges each user's recorded build seconds, so a
-        reusing evaluation reports the TTime it would have paid alone.
+        model without a pure ``represent`` (the topic family) represents
+        every user's documents, in fold order, as one batch
+        (:meth:`_represent_batch`); each user's state folds its slice,
+        and each build is charged its share of the batch. A cache hit charges each user's
+        recorded build seconds, so a reusing evaluation reports the
+        TTime it would have paid alone.
         """
         stage_checkpoint("profiles")
         if stopwatch is None:
@@ -425,33 +503,33 @@ class ExperimentPipeline:
                 stopwatch.record(cached.build_seconds[uid])
             return cached
 
+        inputs = [self.profile_inputs(fitted, uid) for uid in corpus.users]
+        represent = memo.represent if memo is not None else None
+        slices: list[_UserSlice | None] = [None] * len(inputs)
+        if not model.pure_represent:
+            slices[:] = self._represent_batch(
+                model,
+                [
+                    [docs[i] for i in ProfileState.fold_order(keys)]
+                    for docs, _, keys in inputs
+                ],
+                "profiles",
+            )
         profiles: dict[int, object] = {}
         build_seconds: dict[int, float] = {}
-        for uid in corpus.users:
-            docs, labels, keys = self.profile_inputs(fitted, uid)
+        for uid, (docs, labels, keys), batch in zip(corpus.users, inputs, slices):
             with stopwatch.measure():
-                try:
-                    state = (
-                        model.init_profile()
-                        if memo is None
-                        else model.init_profile(memo.represent)
-                    )
-                except NotImplementedError:
-                    if temporal is not None:
-                        raise ConfigurationError(
-                            f"{model.name} has no incremental profile state; "
-                            "temporal weighting requires one"
-                        ) from None
-                    profiles[uid] = fitted.recommender.build_profile(docs, labels=labels)
+                state = model.init_profile(represent if batch is None else batch)
+                state.update(docs, labels=labels, keys=keys)
+                if temporal is None:
+                    profiles[uid] = state.value()
                 else:
-                    state.update(docs, labels=labels, keys=keys)
-                    if temporal is None:
-                        profiles[uid] = state.value()
-                    else:
-                        reference = self.split_for(uid).cutoff
-                        profiles[uid] = state.decayed(temporal.weight_fn(reference))
+                    reference = self.split_for(uid).cutoff
+                    profiles[uid] = state.decayed(temporal.weight_fn(reference))
                 if memo is not None:
                     stopwatch.charge(memo.take_charged())
+                if batch is not None:
+                    stopwatch.charge(batch.close())
             build_seconds[uid] = stopwatch.last
         if memo is not None:
             memo.flush(self.telemetry)
@@ -482,7 +560,9 @@ class ExperimentPipeline:
 
         With ``share``, candidates are represented through the shared
         memo, and a reused representation is charged to ``stopwatch`` at
-        the seconds its first build took.
+        the seconds its first build took. A model without a pure
+        ``represent`` represents every user's candidates as one batch,
+        as :meth:`build_profiles` does.
         """
         stage_checkpoint("rank")
         if stopwatch is None:
@@ -490,19 +570,27 @@ class ExperimentPipeline:
         memo = self._shared_for(fitted, share)
         represent = memo.represent if memo is not None else None
         context = self._context_for(fitted.corpus.users)
+        candidates = [list(self.split_for(uid).test_set) for uid in fitted.corpus.users]
+        docs = [[self._doc(t, context) for t in tweets] for tweets in candidates]
+        slices: list[_UserSlice | None] = [None] * len(docs)
+        if not fitted.model.pure_represent:
+            slices[:] = self._represent_batch(fitted.model, docs, "rank")
         per_user_ap: dict[int, float] = {}
-        for uid in fitted.corpus.users:
-            split = self.split_for(uid)
-            candidates = list(split.test_set)
-            docs = [self._doc(t, context) for t in candidates]
-            relevant = split.relevant_ids
+        for index, (uid, batch) in enumerate(zip(fitted.corpus.users, slices)):
+            relevant = self.split_for(uid).relevant_ids
             with stopwatch.measure():
                 ranking = fitted.recommender.rank(
-                    profiles.profiles[uid], docs, represent=represent
+                    profiles.profiles[uid],
+                    docs[index],
+                    represent=represent if batch is None else batch,
                 )
                 if memo is not None:
                     stopwatch.charge(memo.take_charged())
-            flags = [candidates[item.position].tweet_id in relevant for item in ranking]
+                if batch is not None:
+                    stopwatch.charge(batch.close())
+            flags = [
+                candidates[index][item.position].tweet_id in relevant for item in ranking
+            ]
             per_user_ap[uid] = average_precision(flags)
         if memo is not None:
             memo.flush(self.telemetry)

@@ -132,7 +132,7 @@ class ProfileState(abc.ABC):
                 raise ValidationError(
                     f"keys length {len(keys)} does not match docs length {len(docs)}"
                 )
-            order = sorted(range(len(docs)), key=lambda i: keys[i])
+            order = self.fold_order(keys)
         entries: list[tuple[Any, Doc, int | None]] = []
         last_key = self._last_key
         for position, index in enumerate(order):
@@ -149,6 +149,12 @@ class ProfileState(abc.ABC):
         self._fold_many(entries)
         self._seen += len(docs)
         return self
+
+    @staticmethod
+    def fold_order(keys: Sequence[Any]) -> list[int]:
+        """Positions of a chunk's documents in the order :meth:`update`
+        folds them: by key, equal keys in input order."""
+        return sorted(range(len(keys)), key=keys.__getitem__)
 
     def _fold_many(self, entries: list[tuple[Any, Doc, int | None]]) -> None:
         """Fold an order-checked chunk of ``(key, doc, label)`` in order."""
@@ -182,8 +188,8 @@ class RepresentationModel(abc.ABC):
     #: Whether :meth:`represent` is a pure function of the document and
     #: :meth:`fit_params` (no random draws). A pipeline may then
     #: represent each document once and share the result between
-    #: configurations that fit the same way; such a model's
-    #: :meth:`init_profile` takes that shared ``represent`` function.
+    #: configurations that fit the same way, through the ``represent``
+    #: argument of :meth:`init_profile`.
     pure_represent: bool = False
 
     @abc.abstractmethod
@@ -239,11 +245,14 @@ class RepresentationModel(abc.ABC):
         """
         return user_model
 
-    def init_profile(self) -> ProfileState:
+    def init_profile(self, represent: Callable[[Doc], Any] | None = None) -> ProfileState:
         """Fresh incremental profile state for this model.
 
-        Each family base class provides its state; models outside the
-        protocol (extensions, baselines) need not implement it.
+        ``represent``, when given, replaces the model's own
+        representation of each folded document (a pipeline passes
+        representations it computed in advance). Each family base class
+        provides its state; models outside the protocol (extensions,
+        baselines) need not implement it.
         """
         raise NotImplementedError(f"{type(self).__name__} has no incremental profile state")
 

@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError, EmptyCorpusError, NotFittedError, ValidationError
 from repro.models.aggregation import AggregationFunction
 from repro.models.base import Doc, ProfileState, RepresentationModel
-from repro.models.topic.gibbs import FoldIn, IterationHook, fold_in
+from repro.models.topic.gibbs import MAX_BATCH_ENTRIES, FoldIn, IterationHook, fold_in
 from repro.text.pooling import PoolingScheme, pool_documents
 from repro.text.vocabulary import Vocabulary
 
@@ -145,18 +145,32 @@ class TopicProfileState(ProfileState):
     themselves depend on the shared RNG's draw order, which is why
     replay parity for topic models is stated with a tolerance unless
     deterministic inference is enabled.
+
+    ``represent`` replaces the batch with one call per document, in fold
+    order (a pipeline passes each user's state that user's slice of one
+    batch over all users).
     """
 
-    def __init__(self, model: "TopicModel") -> None:
+    def __init__(
+        self,
+        model: "TopicModel",
+        represent: Callable[[Doc], np.ndarray] | None = None,
+    ) -> None:
         super().__init__()
         self._model = model
+        self._represent = represent
         self._entries: list[tuple[Any, np.ndarray, int | None]] = []
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
         self._fold_many([(key, doc, label)])
 
     def _fold_many(self, entries: list[tuple[Any, Doc, int | None]]) -> None:
-        thetas = self._model.represent_many([doc for _, doc, _ in entries])
+        docs = [doc for _, doc, _ in entries]
+        thetas = (
+            self._model.represent_many(docs)
+            if self._represent is None
+            else list(map(self._represent, docs))
+        )
         self._entries.extend(
             (key, theta, label) for (key, _, label), theta in zip(entries, thetas)
         )
@@ -325,14 +339,35 @@ class TopicModel(RepresentationModel):
         return self.represent_many([doc])[0]
 
     def represent_many(self, docs: Sequence[Doc]) -> list[np.ndarray]:
-        """Topic distributions of ``docs``, every fold-in sampled as one batch.
+        """Topic distributions of ``docs``, their fold-ins sampled in batches.
 
         Equal to representing the documents one by one, in order: each
         fold-in draws from the model's RNG in document order, or from
-        its own seeded RNG under ``deterministic_inference``.
+        its own seeded RNG under ``deterministic_inference``. Documents
+        are inferred and folded in consecutive chunks of at most about
+        :data:`~repro.models.topic.gibbs.MAX_BATCH_ENTRIES` topic-word
+        weights, so memory does not grow with the batch.
         """
         encoded = [self.vocabulary.encode(list(doc.tokens)) for doc in docs]
-        inferred = [self._infer(tokens) for tokens in encoded]
+        thetas: list[np.ndarray] = []
+        inferred: list[np.ndarray | FoldIn] = []
+        entries = 0
+        for tokens in encoded:
+            fold = self._infer(tokens)
+            inferred.append(fold)
+            if isinstance(fold, FoldIn):
+                entries += fold.columns.size
+                if entries >= MAX_BATCH_ENTRIES:
+                    start = len(thetas)
+                    thetas += self._fold_chunk(encoded[start : start + len(inferred)], inferred)
+                    inferred, entries = [], 0
+        return thetas + self._fold_chunk(encoded[len(thetas) :], inferred)
+
+    def _fold_chunk(
+        self, encoded: list[list[int]], inferred: list[np.ndarray | FoldIn]
+    ) -> list[np.ndarray]:
+        """Topic distributions of consecutive documents: their token ids
+        and what :meth:`_infer` returned for each."""
         folds = [fold for fold in inferred if isinstance(fold, FoldIn)]
         if self.deterministic_inference:
             rngs = [
@@ -360,8 +395,10 @@ class TopicModel(RepresentationModel):
             raise ConfigurationError("Rocchio aggregation requires labels")
         return self.init_profile().update(docs, labels=labels).value()
 
-    def init_profile(self) -> TopicProfileState:
-        return TopicProfileState(self)
+    def init_profile(
+        self, represent: Callable[[Doc], np.ndarray] | None = None
+    ) -> TopicProfileState:
+        return TopicProfileState(self, represent)
 
     def score(self, user_model: np.ndarray, doc_model: np.ndarray) -> float:
         return dense_cosine(user_model, doc_model)

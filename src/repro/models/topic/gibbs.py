@@ -66,10 +66,29 @@ __all__ = [
 #: about six documents (CPython 3.11, numpy 2.4, 2-vCPU x86 guest).
 MIN_BATCH = 6
 
+#: Most topic-word weights (a document's tokens times its topics,
+#: summed over the batch) that :meth:`TopicModel.represent_many
+#: <repro.models.topic.base.TopicModel.represent_many>` builds and folds
+#: in one :func:`fold_in` call; a longer batch is folded in consecutive
+#: chunks of documents, which draws the same stream. A chunk's weights
+#: are held twice, 0.5 MiB each: the fold-ins' and the batch's. In
+#: the benchmark a stage batch takes up to about 69,000 weights (LLDA's
+#: candidates, 38 topics), so most stay whole; at 200 topics a chunk is
+#: about 330 tokens.
+MAX_BATCH_ENTRIES = 1 << 16
+
+#: Documents whose weights :func:`_fold_batch` copies into its array in
+#: one scatter: few enough that the group's concatenated weights stay
+#: small, enough that the scatters cost little beside the sampling.
+SCATTER_DOCS = 32
+
 #: Most topics a training step samples with :func:`draw_scalar`; with
 #: more, :func:`draw_index`'s numpy step is faster. Measured on BTM and
 #: LDA fits of the benchmark corpus, whose two steps cost the same at
-#: about 17 topics (CPython 3.11, numpy 2.4, 2-vCPU x86 guest). A
+#: about 17 topics (CPython 3.11, numpy 2.4, 2-vCPU x86 guest), and on
+#: HDP's step (its extra division and new-topic entry included) held
+#: at 8 to 48 active topics: scalar/numpy 0.7 at 8, 0.95 to 0.99 at 16
+#: and 17, 1.02 to 1.08 at 18 and 1.4 to 1.9 at 32 to 48. A
 #: single-document fold-in takes its scalar step up to the same limit,
 #: although its two steps cost the same only at about 27 topics.
 SCALAR_TOPICS = 17
@@ -375,16 +394,21 @@ def fold_in(
     finite and non-negative raise :class:`SamplingWeightsError` naming
     ``model``.
     """
-    draws = []
-    for fold, rng in zip(folds, rngs):
-        tokens, k = fold.columns.shape
-        draws.append((rng.integers(k, size=tokens), rng.random(iterations * tokens)))
-    if len(folds) < MIN_BATCH:
-        return [
-            _fold_one(fold, topics, uniforms, iterations, model)
-            for fold, (topics, uniforms) in zip(folds, draws)
-        ]
-    return _fold_batch(folds, draws, iterations, model)
+    if len(folds) >= MIN_BATCH:
+        return _fold_batch(folds, rngs, iterations, model)
+    draws = [_draw(fold, rng, iterations) for fold, rng in zip(folds, rngs)]
+    return [
+        _fold_one(fold, topics, uniforms, iterations, model)
+        for fold, (topics, uniforms) in zip(folds, draws)
+    ]
+
+
+def _draw(
+    fold: FoldIn, rng: np.random.Generator, iterations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One document's initial topics and its uniforms, one per token and sweep."""
+    tokens, k = fold.columns.shape
+    return rng.integers(k, size=tokens), rng.random(iterations * tokens)
 
 
 def _check_weights(
@@ -471,57 +495,83 @@ def _fold_one(
 
 def _fold_batch(
     folds: Sequence[FoldIn],
-    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+    rngs: Sequence[np.random.Generator],
     iterations: int,
     model: str,
 ) -> list[np.ndarray]:
-    """:func:`fold_in` for a batch, one token position at a time."""
-    # Longest document first: the documents still sampling at token
-    # position t are then always the first active[t] rows.
-    order = sorted(range(len(folds)), key=lambda d: -len(draws[d][0]))
-    lengths = np.array([len(draws[d][0]) for d in order])
-    batch, longest, k = len(order), int(lengths[0]), folds[0].columns.shape[1]
-    columns = np.zeros((longest, batch, k))
-    priors = np.empty((batch, k))
-    counts = np.zeros((batch, k))
-    uniforms = np.zeros((iterations, longest, batch, 1))
+    """:func:`fold_in` for a batch, one token position at a time.
+
+    The arrays hold real tokens only, position-major: with documents
+    in slots sorted longest first, the documents still sampling at
+    token position ``t`` fill the first ``active[t]`` slots, and their
+    tokens are rows ``starts[t]`` to ``starts[t] + active[t]``. Memory
+    then grows with the batch's tokens, not with its longest document
+    times its documents. Each document's draws are taken in document
+    order, and each array is filled by one scatter of every document's
+    values to its tokens' rows (the weights :data:`SCATTER_DOCS`
+    documents at a time).
+    """
+    lengths = np.array([fold.columns.shape[0] for fold in folds])
+    order = np.argsort(-lengths, kind="stable")
+    slots = np.argsort(order)
+    batch, longest, k = len(folds), int(lengths[order[0]]), folds[0].columns.shape[1]
+    active = (lengths > np.arange(longest)[:, None]).sum(axis=1)
+    starts = np.concatenate(([0], np.cumsum(active)))
+    tokens = int(starts[-1])
+    # Each document's tokens' rows, documents in input order.
+    ends = np.cumsum(lengths)
+    position = np.arange(tokens) - np.repeat(ends - lengths, lengths)
+    rows = starts[position] + np.repeat(slots, lengths)
+    draws = [_draw(fold, rng, iterations) for fold, rng in zip(folds, rngs)]
+    columns = np.empty((tokens, k))
+    # A group of documents at a time, so their concatenated weights are
+    # the only copy beside the fold-ins' and this array.
+    bounds = [0, *ends.tolist()]
+    for lo in range(0, batch, SCATTER_DOCS):
+        hi = min(lo + SCATTER_DOCS, batch)
+        columns[rows[bounds[lo] : bounds[hi]]] = np.concatenate(
+            [fold.columns for fold in folds[lo:hi]]
+        )
+    uniforms = np.empty((iterations, tokens, 1))
+    uniforms[:, rows, 0] = np.concatenate(
+        [drawn.reshape(iterations, n) for (_, drawn), n in zip(draws, lengths.tolist())],
+        axis=1,
+    )
     # Each token's topic, stored as its flat index into counts.
     offsets = np.arange(batch) * k
-    cells = np.zeros((longest, batch), dtype=np.intp)
-    for slot, d in enumerate(order):
-        n = lengths[slot]
-        topics, drawn = draws[d]
-        columns[:n, slot] = folds[d].columns
-        priors[slot] = folds[d].prior
-        counts[slot] = np.bincount(topics, minlength=k)
-        uniforms[:, :n, slot, 0] = drawn.reshape(iterations, n)
-        cells[:n, slot] = topics + offsets[slot]
+    cells = np.empty(tokens, dtype=np.intp)
+    cells[rows] = np.concatenate([topics for topics, _ in draws]) + np.repeat(
+        offsets[slots], lengths
+    )
+    counts = np.bincount(cells, minlength=batch * k).astype(float).reshape(batch, k)
+    priors = np.empty((batch, k))
+    for fold, slot in zip(folds, slots.tolist()):
+        priors[slot] = fold.prior
     _check_weights(columns, priors, longest, model)
     flat = counts.reshape(-1)
     # The CDF's last column stays +inf, so the first entry not below the
     # uniform (argmin of the comparison) never passes the last topic.
     cdf = np.empty((batch, k))
     cdf[:, -1] = np.inf
-    active = (lengths > np.arange(longest)[:, None]).sum(axis=1).tolist()
     steps = [
-        (t, a, offsets[:a], counts[:a], priors[:a], columns[t, :a], cdf[:a])
-        for t, a in enumerate(active)
+        (start, start + a, a, offsets[:a], counts[:a], priors[:a],
+         columns[start:start + a], cdf[:a], cells[start:start + a])
+        for start, a in zip(starts.tolist(), active.tolist())
     ]
     for sweep in uniforms:
-        for t, a, offset, count, prior, column, cdf_a in steps:
-            flat[cells[t, :a]] -= 1
+        for start, stop, a, offset, count, prior, column, cdf_a, cell in steps:
+            flat[cell] -= 1
             weights = (count + prior) * column
             total = np.add.reduce(weights, 1, keepdims=True)
             np.add.accumulate(weights[:, :-1], 1, out=cdf_a[:, :-1])
-            topic = (cdf_a < sweep[t, :a] * total).argmin(1)
+            uniform = sweep[start:stop]
+            topic = (cdf_a < uniform * total).argmin(1)
             if np.count_nonzero(total) < a:
                 zero = total[:, 0] == 0.0
-                uniform = sweep[t, :a, 0][zero]
-                topic[zero] = np.minimum((uniform * k).astype(np.intp), k - 1)
-            topic += offset
-            cells[t, :a] = topic
-            flat[topic] += 1
-    return [counts[slot] for slot in np.argsort(order)]
+                topic[zero] = np.minimum((uniform[zero, 0] * k).astype(np.intp), k - 1)
+            np.add(topic, offset, out=cell)
+            flat[cell] += 1
+    return [counts[slot] for slot in slots]
 
 
 def sample_crp_tables(n_customers: int, concentration: float, rng: np.random.Generator) -> int:

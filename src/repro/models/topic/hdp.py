@@ -27,12 +27,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from operator import add, mul, truediv
 
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import FoldIn, draw_index, notify_iteration, sample_crp_tables
+from repro.models.topic.gibbs import (
+    SCALAR_TOPICS,
+    FoldIn,
+    draw_index,
+    draw_scalar,
+    notify_iteration,
+    sample_crp_tables,
+)
 
 __all__ = ["HdpModel"]
 
@@ -123,18 +131,26 @@ class HdpModel(TopicModel):
 
         for iteration in range(self.iterations):
             prior = (alpha * beta[:-1]).tolist()
-            counts.weights[-1] = alpha * beta[-1] / vocab_size
+            new = float(alpha * beta[-1] / vocab_size)
             for doc, z, doc_counts in zip(docs, counts.topics, counts.doc_counts):
-                factors = np.array(doc_counts, dtype=float) + prior
+                factors = counts.doc_factors(doc_counts, prior)
                 for i, w in enumerate(doc):
                     topic = z[i]
                     count = doc_counts[topic] - 1
                     doc_counts[topic] = count
                     factors[topic] = count + prior[topic]
                     counts.move(topic, w, -1)
-                    np.divide(counts.word_rows[w], counts.denominators, counts.f_k)
-                    np.multiply(factors, counts.f_k, counts.head)
-                    choice = draw_index(counts.weights, rng.random(), self.name)
+                    if counts.scalar:
+                        weights = list(map(mul, factors, map(
+                            truediv, counts.word_rows[w], counts.denominators
+                        )))
+                        weights.append(new)
+                        choice = draw_scalar(weights, rng.random(), self.name)
+                    else:
+                        np.divide(counts.word_rows[w], counts.denominators, counts.f_k)
+                        np.multiply(factors, counts.f_k, counts.head)
+                        counts.weights[-1] = new
+                        choice = draw_index(counts.weights, rng.random(), self.name)
 
                     n_active = len(counts.topic_counts)
                     if choice == n_active and n_active < self.max_topics:
@@ -142,9 +158,9 @@ class HdpModel(TopicModel):
                         b = rng.beta(1.0, self.gamma)
                         beta = np.append(beta[:-1], [beta[-1] * b, beta[-1] * (1.0 - b)])
                         prior = (alpha * beta[:-1]).tolist()
+                        new = float(alpha * beta[-1] / vocab_size)
                         counts.add_topic()
-                        counts.weights[-1] = alpha * beta[-1] / vocab_size
-                        factors = np.array(doc_counts, dtype=float) + prior
+                        factors = counts.doc_factors(doc_counts, prior)
                         topic = n_active
                     else:
                         topic = min(choice, n_active - 1)
@@ -196,15 +212,21 @@ class _HdpCounts:
     """HDP's word and topic counts over the active topics, by position.
 
     The counts are Python lists (word-major: ``word_counts[w][j]``);
-    beside them the smoothed factors ``n_kw + η`` (V x capacity) and
-    ``n_k + Vη`` are kept as arrays, and a count change recomputes only
-    its own entry. The arrays' capacity doubles as topics are born, so
-    a fit that stays near its initial topic count never fills
-    ``max_topics``-wide tables.
-    ``word_rows[w]``, ``denominators``, ``f_k`` and ``head`` are views
-    over the active topics, and ``weights`` is ``head`` plus one entry
-    for a new topic; the views are rebuilt whenever the number of
-    topics changes.
+    beside them the smoothed factors ``word_rows[w]`` (``n_kw + η``) and
+    ``denominators`` (``n_k + Vη``) are kept, and a count change
+    recomputes only its own entry.
+
+    While at most :data:`~repro.models.topic.gibbs.SCALAR_TOPICS` topics
+    are active (``scalar``), the factors are lists of Python floats and
+    a token's topic is drawn with
+    :func:`~repro.models.topic.gibbs.draw_scalar`. With more, they are
+    views over arrays whose capacity doubles as topics are born (so a
+    fit that stays near its initial topic count never fills
+    ``max_topics``-wide tables), ``f_k`` and ``head`` are views too, and
+    ``weights`` is ``head`` plus one entry for a new topic, drawn with
+    :func:`~repro.models.topic.gibbs.draw_index`. Both draws give the
+    same index. The factors are rebuilt from the counts whenever the
+    form changes, and the views whenever the number of topics changes.
     """
 
     def __init__(
@@ -228,10 +250,11 @@ class _HdpCounts:
                 counts[topic] += 1
                 self.word_counts[w][topic] += 1
                 self.topic_counts[topic] += 1
-        self._allocate(min(2 * n_topics, max_topics))
+        self._capacity = 0
         self._refill()
 
     def _allocate(self, capacity: int) -> None:
+        self._capacity = capacity
         self._word_factors = np.empty((len(self.word_counts), capacity))
         self._denominators = np.empty(capacity)
         self._weights = np.empty(capacity + 1)
@@ -240,11 +263,26 @@ class _HdpCounts:
     def _refill(self) -> None:
         """Recompute the smoothed factors from the counts."""
         n_active = len(self.topic_counts)
-        self._word_factors[:, :n_active] = np.array(self.word_counts, dtype=float).reshape(
+        word_factors = np.array(self.word_counts, dtype=float).reshape(
             len(self.word_counts), n_active
         ) + self.eta
-        self._denominators[:n_active] = np.array(self.topic_counts, dtype=float) + self.v_eta
+        denominators = np.array(self.topic_counts, dtype=float) + self.v_eta
+        self.scalar = n_active <= SCALAR_TOPICS
+        if self.scalar:
+            self.word_rows = word_factors.tolist()
+            self.denominators = denominators.tolist()
+            return
+        if self._capacity < n_active:
+            self._allocate(min(2 * n_active, self.max_topics))
+        self._word_factors[:, :n_active] = word_factors
+        self._denominators[:n_active] = denominators
         self._views()
+
+    def doc_factors(self, doc_counts: list[int], prior: list[float]) -> list[float] | np.ndarray:
+        """``n_dk + α·β_k`` for one document, in the factors' form."""
+        if self.scalar:
+            return list(map(add, doc_counts, prior))
+        return np.array(doc_counts, dtype=float) + prior
 
     def _views(self) -> None:
         n_active = len(self.topic_counts)
@@ -272,8 +310,12 @@ class _HdpCounts:
         for row in self.word_counts:
             row.append(0)
         self.topic_counts.append(0)
-        if topic == len(self._denominators):
-            self._allocate(min(2 * topic, self.max_topics))
+        if self.scalar and topic < SCALAR_TOPICS:
+            for row in self.word_rows:
+                row.append(self.eta)
+            self.denominators.append(self.v_eta)
+            return
+        if self.scalar or topic == self._capacity:
             self._refill()
             return
         self._word_factors[:, topic] = self.eta
@@ -293,5 +335,10 @@ class _HdpCounts:
     def phi(self) -> np.ndarray:
         """Topic-word distributions (K x V) of the active topics."""
         n_active = len(self.topic_counts)
-        word_factors = self._word_factors[:, :n_active]
-        return np.ascontiguousarray((word_factors / self.denominators).T)
+        if self.scalar:
+            word_factors = np.array(self.word_rows, dtype=float).reshape(
+                len(self.word_rows), n_active
+            )
+        else:
+            word_factors = self._word_factors[:, :n_active]
+        return np.ascontiguousarray((word_factors / np.asarray(self.denominators)).T)

@@ -441,7 +441,8 @@ class HldaModel(TopicModel):
         level_phi = phi[paths[:, None, :], np.array(doc)[None, :, None]]
         scores = np.log(level_phi.mean(axis=2) + 1e-12).sum(axis=1)
         best = int(np.argmax(scores))
-        return _PathFoldIn(level_phi[best], self.alpha, self._paths_matrix[best])
+        # A copy: the row alone would keep every path's gather alive.
+        return _PathFoldIn(level_phi[best].copy(), self.alpha, self._paths_matrix[best])
 
     def _theta(self, fold: FoldIn, counts: np.ndarray) -> np.ndarray:
         assert isinstance(fold, _PathFoldIn)

@@ -240,8 +240,11 @@ def speedscope_document(profile: dict, name: str = "repro profile") -> dict:
     (plus one for unattributed stacks), all sharing one deduplicated
     frame table -- open the file at https://www.speedscope.app and flip
     between phases to see each span's flamegraph. Weights are sample
-    counts (``unit: "none"``): statistical profiles measure relative
-    time, and counts divide by ``hz`` for seconds.
+    counts (``unit: "none"``). The sampler ticks on a grid of deadlines
+    ``1 / hz`` apart, so counts divided by ``hz`` estimate seconds; a
+    tick the target delays past later deadlines skips them, so the rate
+    achieved is the profile's ``samples / wall_seconds``, at most
+    ``hz``.
     """
     frame_index: dict[tuple[str, str, int], int] = {}
     shared_frames: list[dict] = []

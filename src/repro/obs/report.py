@@ -161,7 +161,15 @@ def format_resource_breakdown(trace: dict) -> str:
 
 
 def _child_seconds(span: Span) -> float:
-    return sum(child.duration or 0.0 for child in span.children)
+    """Summed child durations, leaving out children marked
+    ``charged_to``: their seconds are already inside sibling spans
+    (a topic model's ``profiles.fold`` batch is charged to the per-user
+    ``profiles`` segments)."""
+    return sum(
+        child.duration or 0.0
+        for child in span.children
+        if "charged_to" not in child.attributes
+    )
 
 
 def _self_seconds(span: Span) -> float:

@@ -42,6 +42,7 @@ import os
 import sys
 import threading
 import time
+from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 from repro.obs import tracing
@@ -238,9 +239,22 @@ class Sampler:
             if _ACTIVE_SAMPLER is self:
                 _ACTIVE_SAMPLER = None  # releases this process's own slot
 
-    def _sample_loop(self) -> None:
-        while not self._stop_event.wait(self.interval):
+    def _sample_loop(self, clock: Callable[[], float] = time.perf_counter) -> None:
+        """Tick on a fixed grid of deadlines ``interval`` apart.
+
+        Each wait lasts until the next deadline, so a tick's own time
+        does not stretch the interval and the rate stays ``hz``. A tick
+        that overruns one or more deadlines skips them: the next tick
+        waits for the first deadline still ahead, never bursts.
+        """
+        interval = self.interval
+        deadline = clock() + interval
+        while not self._stop_event.wait(max(0.0, deadline - clock())):
             self.sample_once()
+            deadline += interval
+            late = clock() - deadline
+            if late > 0.0:
+                deadline += (late // interval + 1) * interval
 
     # -- sampling ------------------------------------------------------------
 

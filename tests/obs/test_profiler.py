@@ -187,6 +187,47 @@ class TestSamplerLifecycle:
         with pytest.raises(ConfigurationError, match="finite and positive"):
             Profile(hz=hz)
 
+    @staticmethod
+    def _drive(costs, hz=100.0, until=None):
+        """Run the sample loop on a fake clock: tick ``i`` costs
+        ``costs[i]`` seconds. Returns the waits and the tick times."""
+        clock = [0.0]
+        waits, ticks = [], []
+
+        class Event:
+            def wait(self, timeout):
+                waits.append(timeout)
+                clock[0] += timeout
+                return len(ticks) == len(costs) or (until is not None and clock[0] >= until)
+
+        def tick():
+            ticks.append(clock[0])
+            clock[0] += costs[len(ticks) - 1]
+
+        sampler = Sampler(hz=hz)  # repro: allow[RPR005] -- never entered; its loop runs on a fake clock
+        sampler._stop_event = Event()
+        sampler.sample_once = tick
+        sampler._sample_loop(clock=lambda: clock[0])
+        return waits, ticks
+
+    def test_each_wait_ends_at_the_next_deadline(self):
+        waits, ticks = self._drive([0.003] * 4)
+        assert waits == pytest.approx([0.01, 0.007, 0.007, 0.007, 0.007])
+        assert ticks == pytest.approx([0.01, 0.02, 0.03, 0.04])
+
+    def test_an_overrunning_tick_skips_the_deadlines_it_missed(self):
+        waits, ticks = self._drive([0.003, 0.025, 0.002])
+        # The second tick ends at 0.045: deadlines 0.03 and 0.04 are gone,
+        # the next tick waits for 0.05 instead of firing twice at once.
+        assert ticks == pytest.approx([0.01, 0.02, 0.05])
+        assert waits == pytest.approx([0.01, 0.007, 0.005, 0.008])
+
+    def test_rate_holds_whatever_a_tick_costs(self):
+        # A tick costing 30% of the interval used to stretch every
+        # interval by that much: 77 ticks a second at 100 Hz.
+        _, ticks = self._drive([0.003] * 1000, until=1.005)
+        assert len(ticks) == 100  # the 100th lands on the first second
+
     def test_exit_banks_wall_time_and_overhead(self):
         with Sampler(hz=500.0) as sampler:
             deadline = time.perf_counter() + 0.05

@@ -207,6 +207,23 @@ class TestCriticalPath:
         # config total 18s; evaluate children cover 17.5s -> self 0.5s
         assert "18.000s" in config_row and "17.500s" in config_row
 
+    def test_a_charged_span_is_not_child_time_twice(self):
+        # A topic model's rank batch: 3s, charged to the two per-user
+        # rank segments beside it, which already hold those 3s.
+        evaluate = span(
+            "evaluate",
+            10.0,
+            [
+                span("fit", 4.0),
+                span("rank.fold", 3.0, docs=50, charged_to="rank"),
+                span("rank", 2.5),
+                span("rank", 2.5),
+            ],
+        )
+        text = format_critical_path(trace(evaluate))
+        line = next(l for l in text.splitlines() if l.startswith("evaluate"))
+        assert line.endswith("self 1.000s")
+
     def test_stragglers_ranked_with_identity_and_attribution(self):
         text = format_critical_path(sweep_trace(), top=2)
         assert "top 2 straggler cells" in text

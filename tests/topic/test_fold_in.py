@@ -4,14 +4,16 @@ The reference below is the per-token fold-in loop each of LDA, LLDA,
 HDP and HLDA ran inside ``_infer`` before the batched kernel replaced
 it. ``represent_many`` must return exactly what that loop returned for
 each document in turn and leave the model's RNG in the same state, for
-any batch: both sides of the kernel's size switch, mixed lengths, and
-empty or all-out-of-vocabulary documents, which draw nothing.
+any batch: both sides of the kernel's size switch, mixed lengths,
+empty or all-out-of-vocabulary documents, which draw nothing, and any
+chunking of a long batch.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SamplingWeightsError
 from repro.models.base import TextDoc
-from repro.models.topic.gibbs import MIN_BATCH, SCALAR_TOPICS, FoldIn, fold_in
+from repro.models.topic import base as topic_base
+from repro.models.topic.gibbs import MAX_BATCH_ENTRIES, MIN_BATCH, SCALAR_TOPICS, FoldIn, fold_in
 from repro.models.topic.hdp import HdpModel
 from repro.models.topic.hlda import HldaModel
 from repro.models.topic.lda import LdaModel
@@ -131,14 +134,21 @@ documents = st.lists(
 @pytest.mark.parametrize("name", ["LDA", "LLDA", "HDP", "HLDA"])
 class TestRepresentManyMatchesReference:
     @settings(max_examples=20, deadline=None)
-    @given(batch=documents, seed=st.integers(0, 2**32 - 1))
-    def test_equal_results_and_rng_state(self, name, deterministic, batch, seed):
+    @given(
+        batch=documents,
+        seed=st.integers(0, 2**32 - 1),
+        # Topic-word weights per chunk: one document per chunk, a few
+        # documents, or the whole batch.
+        entries=st.sampled_from([1, 60, MAX_BATCH_ENTRIES]),
+    )
+    def test_equal_results_and_rng_state(self, name, deterministic, batch, seed, entries):
         model = fitted(name)
         model.deterministic_inference = deterministic
         try:
             docs = [doc(tokens) for tokens in batch]
             model._rng = np.random.default_rng(seed)
-            got = model.represent_many(docs)
+            with mock.patch.object(topic_base, "MAX_BATCH_ENTRIES", entries):
+                got = model.represent_many(docs)
             state = model._rng.bit_generator.state
             model._rng = np.random.default_rng(seed)
             expected = [reference_represent(model, d) for d in docs]

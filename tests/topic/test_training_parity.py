@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SamplingWeightsError
 from repro.models.base import TextDoc
+from repro.models.topic import hdp
 from repro.models.topic.btm import Biterm, BitermTopicModel, extract_biterms
 from repro.models.topic.gibbs import (
     SCALAR_TOPICS,
@@ -548,6 +549,30 @@ def test_hdp_grows_past_its_initial_capacity():
         ReferenceHdp, HdpModel, corpus, "NP", 3, initial_topics=1, alpha=50.0, gamma=50.0
     )
     assert reference.n_topics > 2
+    assert_same_fit(reference, model, "stick_weights")
+
+
+def test_hdp_switches_steps_at_the_scalar_limit(monkeypatch):
+    # Topics are born and retired across SCALAR_TOPICS: the fit must move
+    # from the numpy step to the scalar step and back, and still match.
+    steps = []
+
+    def counted(draw, code):
+        def wrapper(*args):
+            steps.append(code)
+            return draw(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(hdp, "draw_scalar", counted(hdp.draw_scalar, "s"))
+    monkeypatch.setattr(hdp, "draw_index", counted(hdp.draw_index, "i"))
+    corpus = [WORDS * 2, WORDS[::-1], ["star", "moon"], WORDS[:5]]
+    reference, model = fit_pair(
+        ReferenceHdp, HdpModel, corpus, "NP", 0, initial_topics=SCALAR_TOPICS + 2,
+        alpha=5.0, gamma=5.0,
+    )
+    trace = "".join(steps)
+    assert "is" in trace and "si" in trace
     assert_same_fit(reference, model, "stick_weights")
 
 
