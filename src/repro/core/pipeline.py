@@ -672,6 +672,8 @@ class ExperimentPipeline:
 
         def hook(progress) -> None:
             tel.count("gibbs.iterations")
+            if progress.steps is not None:
+                tel.count("gibbs.steps", progress.steps)
             if progress.log_likelihood is not None:
                 tel.gauge("gibbs.log_likelihood", progress.log_likelihood)
             if progress.rss_bytes is not None:

@@ -14,8 +14,9 @@ All topic models in the paper follow the same usage protocol (Section 3.2,
 Subclasses implement two hooks: :meth:`TopicModel._train` (fit the model
 on encoded pseudo-documents) and :meth:`TopicModel._infer` (one encoded
 document's topic distribution, or the Gibbs fold-in that yields it;
-:meth:`TopicModel.represent_many` samples all of a batch's fold-ins in
-one :func:`~repro.models.topic.gibbs.fold_in` call).
+:meth:`TopicModel._infer_chunk` samples all of a chunk's fold-ins in
+one :func:`~repro.models.topic.gibbs.fold_in` call). BTM, which infers
+without sampling, overrides :meth:`TopicModel._infer_chunk` instead.
 """
 
 from __future__ import annotations
@@ -290,14 +291,15 @@ class TopicModel(RepresentationModel):
         by LLDA for label extraction).
         """
 
-    @abc.abstractmethod
     def _infer(self, doc: list[int]) -> np.ndarray | FoldIn:
         """Topic distribution of one encoded (unseen) document.
 
         Gibbs-sampled models return the document's :class:`FoldIn`
-        instead; :meth:`represent_many` samples it and turns the topic
-        counts into ``theta`` with :meth:`_theta`.
+        instead; the default :meth:`_infer_chunk` samples it and turns
+        the topic counts into ``theta`` with :meth:`_theta`. A model
+        that overrides :meth:`_infer_chunk` (BTM) need not define it.
         """
+        raise NotImplementedError
 
     def _theta(self, fold: FoldIn, counts: np.ndarray) -> np.ndarray:
         """Topic distribution from a sampled fold-in's topic counts."""
@@ -339,35 +341,39 @@ class TopicModel(RepresentationModel):
         return self.represent_many([doc])[0]
 
     def represent_many(self, docs: Sequence[Doc]) -> list[np.ndarray]:
-        """Topic distributions of ``docs``, their fold-ins sampled in batches.
+        """Topic distributions of ``docs``, inferred in chunks.
 
         Equal to representing the documents one by one, in order: each
         fold-in draws from the model's RNG in document order, or from
-        its own seeded RNG under ``deterministic_inference``. Documents
-        are inferred and folded in consecutive chunks of at most about
-        :data:`~repro.models.topic.gibbs.MAX_BATCH_ENTRIES` topic-word
-        weights, so memory does not grow with the batch.
+        its own seeded RNG under ``deterministic_inference``, and an
+        inference without sampling (BTM) sums each document's terms in
+        a fixed order. Consecutive documents are inferred in one
+        :meth:`_infer_chunk` call while their :meth:`_weight_count`
+        stays below about :data:`~repro.models.topic.gibbs.MAX_BATCH_ENTRIES`,
+        so memory does not grow with the batch.
         """
         encoded = [self.vocabulary.encode(list(doc.tokens)) for doc in docs]
         thetas: list[np.ndarray] = []
-        inferred: list[np.ndarray | FoldIn] = []
-        entries = 0
-        for tokens in encoded:
-            fold = self._infer(tokens)
-            inferred.append(fold)
-            if isinstance(fold, FoldIn):
-                entries += fold.columns.size
-                if entries >= MAX_BATCH_ENTRIES:
-                    start = len(thetas)
-                    thetas += self._fold_chunk(encoded[start : start + len(inferred)], inferred)
-                    inferred, entries = [], 0
-        return thetas + self._fold_chunk(encoded[len(thetas) :], inferred)
+        start = entries = 0
+        for end, tokens in enumerate(encoded, 1):
+            entries += self._weight_count(tokens)
+            if entries >= MAX_BATCH_ENTRIES:
+                thetas += self._infer_chunk(encoded[start:end])
+                start, entries = end, 0
+        return thetas + self._infer_chunk(encoded[start:])
 
-    def _fold_chunk(
-        self, encoded: list[list[int]], inferred: list[np.ndarray | FoldIn]
-    ) -> list[np.ndarray]:
-        """Topic distributions of consecutive documents: their token ids
-        and what :meth:`_infer` returned for each."""
+    def _weight_count(self, doc: list[int]) -> int:
+        """Topic weights inferring ``doc`` holds: a weight per token and topic."""
+        return len(doc) * self.n_topics
+
+    def _infer_chunk(self, encoded: list[list[int]]) -> list[np.ndarray]:
+        """Topic distributions of consecutive encoded documents.
+
+        Each document's :meth:`_infer`, with every :class:`FoldIn` among
+        them sampled in one :func:`~repro.models.topic.gibbs.fold_in`
+        call.
+        """
+        inferred = [self._infer(tokens) for tokens in encoded]
         folds = [fold for fold in inferred if isinstance(fold, FoldIn)]
         if self.deterministic_inference:
             rngs = [

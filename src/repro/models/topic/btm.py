@@ -14,6 +14,11 @@ Collapsed Gibbs update for biterm ``b = (w1, w2)``:
 Documents have no generative role; a document's distribution is inferred
 post hoc as ``P(z|d) = Σ_b P(z|b) · P(b|d)`` with ``P(z|b) ∝ θ_z φ_zw1
 φ_zw2`` and ``P(b|d)`` the empirical biterm frequency in ``d``.
+:meth:`BitermTopicModel._infer_chunk` does this for a chunk of
+documents in one array pass. Each sum is taken in a fixed order: a
+biterm's ``Σ_z`` pairwise, as numpy sums one row, and a document's
+``Σ_b`` one biterm after another. So a document's distribution does
+not depend on the other documents of its chunk.
 
 Window convention (paper Section 4): for individual tweets the window is
 the whole tweet; for long pooled pseudo-documents the window ``r`` caps
@@ -24,11 +29,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
+from itertools import chain
 from operator import mul, truediv
 
 import numpy as np
 
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, NotFittedError, SamplingWeightsError
 from repro.models.topic.base import TopicModel
 from repro.models.topic.gibbs import SCALAR_TOPICS, draw_index, draw_scalar, notify_iteration
 from repro.text.pooling import PoolingScheme
@@ -201,7 +207,8 @@ class BitermTopicModel(TopicModel):
                 counts2[topic] = count
                 factors2[topic] = count + beta
             notify_iteration(
-                self.iteration_hook, self.name, iteration + 1, self.iterations
+                self.iteration_hook, self.name, iteration + 1, self.iterations,
+                steps=len(biterms),
             )
 
         counts = np.array(n_z, dtype=float)
@@ -210,32 +217,74 @@ class BitermTopicModel(TopicModel):
         topic_factors = counts + alpha
         self._theta = topic_factors / topic_factors.sum()
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
-        """``P(z|d) = Σ_b P(z|b) P(b|d)`` -- no sampling needed."""
+    def _weight_count(self, doc: list[int]) -> int:
+        """One K-wide row per biterm of ``doc``, or per word without one."""
+        n = len(doc)
+        return (n * (n - 1) // 2 or n) * self._n_topics
+
+    def _infer_chunk(self, encoded: list[list[int]]) -> list[np.ndarray]:
+        """``P(z|d) = Σ_b P(z|b) P(b|d)`` for every document -- no sampling.
+
+        Each biterm's row ``θ · φ[:, w1] · φ[:, w2]`` (``w1 <= w2``) is
+        gathered for the whole chunk into one (biterms x K) array and
+        divided by its total, summed pairwise as numpy sums one row;
+        a zero total adds nothing. A document's rows, scaled by its
+        ``P(b|d)``, are added into its ``θ`` one after another in
+        biterm order (``np.add.at``), and ``θ`` is divided by its total.
+        A single-word document has no biterms: its ``θ`` before
+        division is its word's row, ``θ · φ[:, w]``. A document whose
+        total is zero (no in-vocabulary word) gets the uniform
+        distribution. A total that is not finite raises
+        :class:`SamplingWeightsError`.
+        """
         if self._phi is None or self._theta is None:
             raise NotFittedError("BitermTopicModel.fit was never called")
-        doc_biterms = list(extract_biterms(doc, window=None))
-        if not doc_biterms:
-            # Single-word or empty documents have no biterms; fall back to
-            # word-level evidence so they are still rankable.
-            if doc:
-                weights = self._theta[:, None] * self._phi[:, doc]  # K x N
-                theta = weights.sum(axis=1)
-                total = theta.sum()
-                return theta / total if total > 0 else self._uniform_theta()
-            return self._uniform_theta()
+        k = self._n_topics
+        word_phi = self._phi.T  # V x K
+        lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+        tokens = np.fromiter(chain.from_iterable(encoded), dtype=np.intp)
+        sums = np.zeros((len(encoded), k))
 
-        theta = np.zeros(self._n_topics)
-        p_b = 1.0 / len(doc_biterms)
-        for w1, w2 in doc_biterms:
-            p_zb = self._theta * self._phi[:, w1] * self._phi[:, w2]
-            total = p_zb.sum()
-            if total > 0:
-                theta += p_b * (p_zb / total)
-        total = theta.sum()
-        return theta / total if total > 0 else self._uniform_theta()
+        # Every pair of positions (i, j), i < j, of each document, in
+        # extract_biterms' order: position i is the first word of the
+        # n - 1 - i biterms that follow it.
+        doc_of = np.repeat(np.arange(len(encoded)), lengths)
+        starts = np.cumsum(lengths) - lengths
+        follow = lengths[doc_of] - 1 - (np.arange(len(tokens)) - starts[doc_of])
+        first = np.repeat(np.arange(len(tokens)), follow)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(follow) - follow, follow)
+        left, right = tokens[first], tokens[second]
+        w1, w2 = np.minimum(left, right), np.maximum(left, right)
+        owner = doc_of[first]
+        rows = self._theta * word_phi[w1]
+        rows *= word_phi[w2]
+        totals = _finite_totals(rows)
+        live = totals > 0
+        np.divide(rows, totals[:, None], out=rows, where=live[:, None])
+        pairs = lengths * (lengths - 1) // 2
+        rows *= np.where(live, 1.0 / pairs[owner], 0.0)[:, None]
+        # np.add.at adds one row after another, as the per-document loop
+        # did (np.add.reduceat does not keep that order); on the flat
+        # view it runs about three times faster than by rows.
+        np.add.at(sums.reshape(-1), (owner[:, None] * k + np.arange(k)).ravel(), rows.ravel())
+
+        single = np.flatnonzero(lengths == 1)
+        sums[single] = self._theta * word_phi[tokens[starts[single]]]
+        totals = _finite_totals(sums)
+        live = totals > 0
+        np.divide(sums, totals[:, None], out=sums, where=live[:, None])
+        sums[~live] = 1.0 / k
+        return list(sums)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()
         info.update(n_topics=self._n_topics, window=self.window, beta=self.beta)
         return info
+
+
+def _finite_totals(rows: np.ndarray) -> np.ndarray:
+    """Each row's total, summed pairwise; raises unless all are finite."""
+    totals = np.add.reduce(rows, axis=1)
+    if not np.isfinite(totals).all():
+        raise SamplingWeightsError("BTM topic weights must have finite totals")
+    return totals

@@ -26,9 +26,10 @@ above. All three give the same counts (see its docstring).
 The module also defines the samplers' per-iteration progress protocol:
 a training loop calls :func:`notify_iteration` once per sweep, and any
 installed :data:`IterationHook` receives a :class:`GibbsIteration`
-record (iteration number, total, optional corpus log-likelihood). The
-telemetry layer uses this to stream sampler convergence without the
-models knowing anything about tracing.
+record (iteration number, total, optional corpus log-likelihood, the
+sweep's sampling steps). The telemetry layer uses this to stream
+sampler convergence and work without the models knowing anything
+about tracing.
 """
 
 from __future__ import annotations
@@ -66,15 +67,16 @@ __all__ = [
 #: about six documents (CPython 3.11, numpy 2.4, 2-vCPU x86 guest).
 MIN_BATCH = 6
 
-#: Most topic-word weights (a document's tokens times its topics,
-#: summed over the batch) that :meth:`TopicModel.represent_many
-#: <repro.models.topic.base.TopicModel.represent_many>` builds and folds
-#: in one :func:`fold_in` call; a longer batch is folded in consecutive
-#: chunks of documents, which draws the same stream. A chunk's weights
-#: are held twice, 0.5 MiB each: the fold-ins' and the batch's. In
-#: the benchmark a stage batch takes up to about 69,000 weights (LLDA's
-#: candidates, 38 topics), so most stay whole; at 200 topics a chunk is
-#: about 330 tokens.
+#: Most topic-word weights (a document's tokens times its topics, or
+#: for BTM its biterms times its topics, summed over the batch) that
+#: :meth:`TopicModel.represent_many
+#: <repro.models.topic.base.TopicModel.represent_many>` infers in one
+#: chunk: one :func:`fold_in` call, or one BTM array pass; a longer
+#: batch is inferred in consecutive chunks of documents, which draws the
+#: same stream. A fold-in chunk's weights are held twice, 0.5 MiB each:
+#: the fold-ins' and the batch's. In the benchmark a stage batch takes
+#: up to about 69,000 weights (LLDA's candidates, 38 topics), so most
+#: stay whole; at 200 topics a chunk is about 330 tokens.
 MAX_BATCH_ENTRIES = 1 << 16
 
 #: Documents whose weights :func:`_fold_batch` copies into its array in
@@ -102,6 +104,9 @@ class GibbsIteration:
     iteration: int  # 1-based
     total: int
     log_likelihood: float | None = None
+    #: Draws the sweep made: a topic per biterm (BTM) or per token (the
+    #: other samplers); None for EM, which draws nothing.
+    steps: int | None = None
     #: Resident set size right after the sweep; None when no hook was
     #: installed (the read is skipped) or no RSS source exists.
     rss_bytes: int | None = None
@@ -117,6 +122,7 @@ def notify_iteration(
     iteration: int,
     total: int,
     log_likelihood: float | None = None,
+    steps: int | None = None,
 ) -> None:
     """Deliver one :class:`GibbsIteration` to ``hook`` if one is set.
 
@@ -129,6 +135,7 @@ def notify_iteration(
             iteration=iteration,
             total=total,
             log_likelihood=log_likelihood,
+            steps=steps,
             rss_bytes=read_rss_bytes(),
         ))
 

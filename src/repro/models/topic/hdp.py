@@ -128,6 +128,7 @@ class HdpModel(TopicModel):
         )
         # Stick weights over the active topics plus the unbroken tail.
         beta = rng.dirichlet(np.ones(self.initial_topics + 1) * self.gamma)
+        n_tokens = sum(map(len, docs))
 
         for iteration in range(self.iterations):
             prior = (alpha * beta[:-1]).tolist()
@@ -188,7 +189,8 @@ class HdpModel(TopicModel):
             m_k = np.maximum(m_k, 1e-3)  # guard against degenerate Dirichlet params
             beta = rng.dirichlet(np.append(m_k, self.gamma))
             notify_iteration(
-                self.iteration_hook, self.name, iteration + 1, self.iterations
+                self.iteration_hook, self.name, iteration + 1, self.iterations,
+                steps=n_tokens,
             )
 
         self._phi = counts.phi()

@@ -120,6 +120,7 @@ class HldaModel(TopicModel):
         self._n_nodes = 0
         self._node_phi: np.ndarray | None = None  # nodes x V, frozen at end of fit
         self._paths_matrix: list[list[int]] = []  # node ids of each leaf path
+        self._path_array = np.zeros((0, levels), dtype=np.intp)  # the same, as rows
 
     @property
     def n_topics(self) -> int:
@@ -242,6 +243,7 @@ class HldaModel(TopicModel):
                 node.n_docs += 1
             self._add_doc_counts(path, doc, z)
 
+        n_tokens = sum(map(len, docs))
         for iteration in range(self.iterations):
             for d, doc in enumerate(docs):
                 if not doc:
@@ -269,7 +271,8 @@ class HldaModel(TopicModel):
 
             self._prune_empty()
             notify_iteration(
-                self.iteration_hook, self.name, iteration + 1, self.iterations
+                self.iteration_hook, self.name, iteration + 1, self.iterations,
+                steps=n_tokens,
             )
 
         self._freeze(vocab_size)
@@ -421,6 +424,7 @@ class HldaModel(TopicModel):
                 leaf_paths(child, prefix)
 
         leaf_paths(self._root, [])
+        self._path_array = np.array(self._paths_matrix, dtype=np.intp)
 
     # -- inference --------------------------------------------------------------
 
@@ -437,12 +441,15 @@ class HldaModel(TopicModel):
         # levels innermost, the level mean and the sum over words reduce in
         # the same order as for one path's (levels x words) gather, and
         # argmax keeps the first of equal scores.
-        paths = np.array(self._paths_matrix)
-        level_phi = phi[paths[:, None, :], np.array(doc)[None, :, None]]
+        level_phi = phi[self._path_array[:, None, :], np.array(doc)[None, :, None]]
         scores = np.log(level_phi.mean(axis=2) + 1e-12).sum(axis=1)
         best = int(np.argmax(scores))
         # A copy: the row alone would keep every path's gather alive.
         return _PathFoldIn(level_phi[best].copy(), self.alpha, self._paths_matrix[best])
+
+    def _weight_count(self, doc: list[int]) -> int:
+        """A weight per token and level of the document's path."""
+        return len(doc) * self.levels
 
     def _theta(self, fold: FoldIn, counts: np.ndarray) -> np.ndarray:
         assert isinstance(fold, _PathFoldIn)

@@ -91,6 +91,7 @@ class LdaModel(TopicModel):
                 self.iteration_hook, self.name, iteration + 1, self.iterations,
                 self._corpus_log_likelihood(docs, *counts.count_arrays(), counts.v_beta)
                 if self.iteration_hook is not None else None,
+                steps=counts.n_tokens,
             )
 
         self._phi = counts.phi()

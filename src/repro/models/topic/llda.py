@@ -121,7 +121,8 @@ class LabeledLdaModel(TopicModel):
         for iteration in range(self.iterations):
             counts.sweep(rng, self.name)
             notify_iteration(
-                self.iteration_hook, self.name, iteration + 1, self.iterations
+                self.iteration_hook, self.name, iteration + 1, self.iterations,
+                steps=counts.n_tokens,
             )
 
         self._phi = counts.phi()

@@ -17,6 +17,7 @@ from repro.experiments.configs import ConfigGrid
 from repro.experiments.persistence import load_sweep, save_sweep
 from repro.experiments.runner import SweepRunner
 from repro.models.bag import TokenNGramModel
+from repro.models.topic.btm import BitermTopicModel
 from repro.models.topic.lda import LdaModel
 from repro.obs import (
     MemorySink,
@@ -114,6 +115,21 @@ class TestMetrics:
         assert all(isinstance(e["log_likelihood"], float) for e in events)
         # The hook is uninstalled after fit.
         assert model.iteration_hook is None
+
+    def test_gibbs_steps_count_biterm_draws_and_change_no_result(
+        self, small_dataset, users, telemetry
+    ):
+        def evaluate(tel):
+            pipeline = ExperimentPipeline(
+                small_dataset, seed=1, max_train_docs_per_user=40, telemetry=tel
+            )
+            model = BitermTopicModel(n_topics=3, iterations=4, max_biterms=300, seed=0)
+            return pipeline.evaluate(model, RepresentationSource.R, users)
+
+        traced = evaluate(telemetry)
+        # Four sweeps over the 300 biterms the cap keeps.
+        assert telemetry.metrics.counter("gibbs.steps").value == 4 * 300
+        assert traced.per_user_ap == evaluate(None).per_user_ap
 
     def test_no_log_likelihood_cost_without_hook(self):
         model = LdaModel(n_topics=2, iterations=1, seed=0)

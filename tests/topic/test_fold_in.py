@@ -1,4 +1,5 @@
-"""Tests for the batched Gibbs fold-in (``gibbs.fold_in``).
+"""Tests for the batched Gibbs fold-in (``gibbs.fold_in``) and BTM's
+batched inference.
 
 The reference below is the per-token fold-in loop each of LDA, LLDA,
 HDP and HLDA ran inside ``_infer`` before the batched kernel replaced
@@ -6,11 +7,13 @@ it. ``represent_many`` must return exactly what that loop returned for
 each document in turn and leave the model's RNG in the same state, for
 any batch: both sides of the kernel's size switch, mixed lengths,
 empty or all-out-of-vocabulary documents, which draw nothing, and any
-chunking of a long batch.
+chunking of a long batch. BTM's reference is the per-biterm loop its
+``_infer`` ran before one array pass per chunk replaced it.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 from unittest import mock
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from repro.errors import SamplingWeightsError
 from repro.models.base import TextDoc
 from repro.models.topic import base as topic_base
+from repro.models.topic.btm import BitermTopicModel, extract_biterms
 from repro.models.topic.gibbs import MAX_BATCH_ENTRIES, MIN_BATCH, SCALAR_TOPICS, FoldIn, fold_in
 from repro.models.topic.hdp import HdpModel
 from repro.models.topic.hlda import HldaModel
@@ -172,6 +176,132 @@ class TestRepresentManyMatchesReference:
             model.deterministic_inference = False
 
 
+# -- BTM: one array pass per chunk ------------------------------------------------
+
+
+@functools.cache
+def fitted_btm(k: int) -> BitermTopicModel:
+    model = BitermTopicModel(n_topics=k, iterations=10, seed=2, pooling="NP")
+    return model.fit([doc(text.split()) for text in CORPUS])
+
+
+def reference_btm(model: BitermTopicModel, encoded: list[int]) -> np.ndarray:
+    """``P(z|d)`` by the per-biterm loop the array pass replaced."""
+    doc_biterms = list(extract_biterms(encoded, window=None))
+    if not doc_biterms:
+        if encoded:
+            weights = model._theta[:, None] * model._phi[:, encoded]
+            theta = weights.sum(axis=1)
+            total = theta.sum()
+            return theta / total if total > 0 else model._uniform_theta()
+        return model._uniform_theta()
+    theta = np.zeros(model.n_topics)
+    p_b = 1.0 / len(doc_biterms)
+    for w1, w2 in doc_biterms:
+        p_zb = model._theta * model._phi[:, w1] * model._phi[:, w2]
+        total = p_zb.sum()
+        if total > 0:
+            theta += p_b * (p_zb / total)
+    total = theta.sum()
+    return theta / total if total > 0 else model._uniform_theta()
+
+
+def with_zero_columns(model: BitermTopicModel, words) -> BitermTopicModel:
+    """A copy of ``model`` in which ``words`` have probability 0 in every topic."""
+    zeroed = copy.copy(model)
+    zeroed._phi = model.phi.copy()
+    zeroed._phi[:, model.vocabulary.encode(list(words))] = 0.0
+    return zeroed
+
+
+btm_documents = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(VOCABULARY), max_size=2),
+        st.lists(st.sampled_from(VOCABULARY[:4]), min_size=2, max_size=6),  # repeats
+        st.lists(st.sampled_from(VOCABULARY), min_size=3, max_size=14),
+        st.lists(st.sampled_from(VOCABULARY + UNKNOWN), max_size=6),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestBtmMatchesReference:
+    # 3 topics sum left to right, 20 pairwise in eight running sums and
+    # 140 split in halves first, so each branch of numpy's summation is hit.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        batch=btm_documents,
+        k=st.sampled_from([3, 20, 140]),
+        zero_words=st.sets(st.sampled_from(VOCABULARY), max_size=8),
+        entries=st.sampled_from([1, 60, MAX_BATCH_ENTRIES]),
+    )
+    @example(batch=[[], ["star"], ["star", "moon"], ["star", "star", "star"], ["zebra"],
+                    ["star", "zebra", "moon", "orbit", "planet"]],
+             k=20, zero_words={"moon"}, entries=MAX_BATCH_ENTRIES)
+    @example(batch=[["bread"], ["bread", "oven"], ["oven", "bread", "yeast"]],
+             k=3, zero_words={"bread", "oven", "yeast"}, entries=1)
+    def test_equal_results_any_chunking(self, batch, k, zero_words, entries):
+        model = with_zero_columns(fitted_btm(k), zero_words)
+        model._rng = np.random.default_rng(0)
+        state = model._rng.bit_generator.state
+        with mock.patch.object(topic_base, "MAX_BATCH_ENTRIES", entries):
+            got = model.represent_many([doc(tokens) for tokens in batch])
+        assert len(got) == len(batch)
+        for theta, tokens in zip(got, batch):
+            want = reference_btm(model, model.vocabulary.encode(tokens))
+            assert np.array_equal(theta, want)
+        assert model._rng.bit_generator.state == state  # inference draws nothing
+
+    def test_represent_is_a_batch_of_one(self):
+        model = fitted_btm(20)
+        for text in CORPUS[:10]:
+            tokens = text.split()
+            want = reference_btm(model, model.vocabulary.encode(tokens))
+            assert np.array_equal(model.represent(doc(tokens)), want)
+
+    def test_empty_batch(self):
+        assert fitted_btm(3).represent_many([]) == []
+
+
+class TestBtmDegenerate:
+    @pytest.mark.parametrize(
+        "tokens", [["star", "moon"], ["star"], ["moon", "orbit", "star", "planet"]],
+        ids=["biterm", "single-word", "long"],
+    )
+    def test_nan_phi_raises_naming_btm(self, tokens):
+        model = copy.copy(fitted_btm(3))
+        model._phi = model.phi.copy()
+        model._phi[1, model.vocabulary.encode(["star"])[0]] = np.nan
+        with pytest.raises(SamplingWeightsError, match="BTM"):
+            model.represent(doc(tokens))
+        with pytest.raises(SamplingWeightsError, match="BTM"):
+            model.represent_many([doc(["moon", "orbit"])] * 5 + [doc(tokens)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_theta_raises(self, bad):
+        model = copy.copy(fitted_btm(3))
+        model._theta = model.corpus_theta.copy()
+        model._theta[0] = bad
+        with pytest.raises(SamplingWeightsError, match="BTM"):
+            model.represent(doc(["bread", "oven"]))
+
+    def test_zero_total_biterm_is_skipped(self):
+        model = with_zero_columns(fitted_btm(3), ["comet"])
+        # (star, comet) and (comet, moon) add nothing; (star, moon) is
+        # a third of the biterms, so θ is its normalised row.
+        (theta,) = model.represent_many([doc(["star", "comet", "moon"])])
+        star, moon = model.vocabulary.encode(["star", "moon"])
+        row = model._theta * model._phi[:, star] * model._phi[:, moon]
+        expected = (1.0 / 3) * (row / row.sum())
+        assert np.array_equal(theta, expected / expected.sum())
+
+    def test_all_zero_document_is_uniform(self):
+        model = with_zero_columns(fitted_btm(3), ["comet", "crust"])
+        for tokens in (["comet"], ["comet", "crust", "comet"], ["zebra"], []):
+            assert np.array_equal(model.represent(doc(tokens)), np.full(3, 1.0 / 3))
+
+
 # -- the kernel on its own --------------------------------------------------------
 
 
@@ -318,7 +448,9 @@ def test_fold_in_step_totals_like_numpy(k, count):
 #: after a ten-sweep, user-pooled fit on its first 400 tweets. Taken
 #: while every fold-in step still ran on numpy; the scalar step must
 #: reproduce them (LDA with 12 topics, HDP's 10, HLDA's 3 levels; LDA
-#: with 50 keeps the numpy step).
+#: with 50 keeps the numpy step). BTM's (user-pooled with 12 topics,
+#: unpooled with 20) were taken while it still inferred one biterm at
+#: a time; its array pass must reproduce them.
 PINNED_FOLDS = [
     (LdaModel, dict(n_topics=12),
      "d49780d544895b46cd8ab3897ab238451ec0da0740203a9aff2a0db99999140f"),
@@ -328,6 +460,10 @@ PINNED_FOLDS = [
      "801e78bda5da4a62370268dd965aae73b9b1c7dd1c8195a0c3372189ff601a87"),
     (HldaModel, dict(levels=3),
      "d56e72cf0227299e988ecc4f63e73d7ba8450df6d42dfb00c1381881f540ffd3"),
+    (BitermTopicModel, dict(n_topics=12, max_biterms=4000),
+     "6c5cc74f5134cd3421584b324d266fd627895ef6f32ddc9992e38245686120a6"),
+    (BitermTopicModel, dict(n_topics=20, pooling="NP"),
+     "0a2e28feda0a357873116ac97a029fcfdf4c54a9fb8b5aa6481d10d3d67d2ba3"),
 ]
 
 
@@ -339,7 +475,7 @@ def test_fold_in_matches_pinned_digest(small_dataset, cls, params, digest):
     tweets = small_dataset.tweets
     docs = [TextDoc.from_tokens(tuple(tweet.text.split())) for tweet in tweets[:400]]
     held_out = [TextDoc.from_tokens(tuple(tweet.text.split())) for tweet in tweets[400:460]]
-    model = cls(iterations=10, seed=3, pooling="UP", **params)
+    model = cls(iterations=10, seed=3, **{"pooling": "UP", **params})
     model.fit(docs, user_ids=[str(tweet.author_id) for tweet in tweets[:400]])
     h = hashlib.sha256()
     for held in held_out:

@@ -18,6 +18,7 @@ from repro.models.topic.hdp import HdpModel
 from repro.models.topic.hlda import HldaModel
 from repro.models.topic.lda import LdaModel
 from repro.models.topic.llda import LabeledLdaModel
+from repro.models.topic.plsa import PlsaModel
 
 
 class TestDenseCosine:
@@ -160,3 +161,34 @@ def test_non_finite_hyperparameter_rejected_at_construction(model_cls, name, val
     the sampler; inf is rejected with it."""
     with pytest.raises(ConfigurationError, match="finite"):
         model_cls(**{name: value})
+
+
+STEP_MODELS = [
+    (LdaModel, dict(n_topics=3)),
+    (LabeledLdaModel, dict(n_latent_topics=2)),
+    (HdpModel, dict(initial_topics=3)),
+    (HldaModel, dict(levels=2)),
+    (BitermTopicModel, dict(n_topics=3)),
+    (BitermTopicModel, dict(n_topics=3, max_biterms=7)),
+    (PlsaModel, dict(n_topics=3)),
+]
+
+
+@pytest.mark.parametrize(
+    ("model_cls", "params"), STEP_MODELS,
+    ids=[f"{c.name}-{'-'.join(map(str, p.values()))}" for c, p in STEP_MODELS],
+)
+def test_each_sweep_reports_its_sampling_steps(tiny_corpus, model_cls, params):
+    """A draw per token, per biterm for BTM (after its cap); EM draws nothing."""
+    progress = []
+    model = model_cls(iterations=3, seed=1, pooling="NP", **params)
+    model.set_iteration_hook(progress.append).fit(tiny_corpus)
+    tokens = [len(doc.tokens) for doc in tiny_corpus]
+    if model_cls is BitermTopicModel:
+        biterms = sum(n * (n - 1) // 2 for n in tokens)
+        expected = min(biterms, params.get("max_biterms", biterms))
+    elif model_cls is PlsaModel:
+        expected = None
+    else:
+        expected = sum(tokens)
+    assert [p.steps for p in progress] == [expected] * 3

@@ -833,6 +833,7 @@ def test_hlda_infer_keeps_the_first_of_equal_paths(order):
     model = HldaModel(levels=2)
     model._node_phi = np.full((3, 4), 0.25)
     model._paths_matrix = order
+    model._path_array = np.array(order)
     model._n_nodes = 3
     for cls in (HldaModel, ReferenceHlda):
         assert cls._infer(model, [0, 3, 3]).path == order[0]
