@@ -8,12 +8,12 @@ Commands
 ``replay``     stream timelines through incremental profile updates,
                checking parity against batch rebuilds
 ``monitor``    live progress view of a running sweep (events file or journal)
-``export``     convert saved telemetry: chrome-trace JSON, Prometheus
-               metrics, flamegraph formats (collapsed stacks, speedscope)
+``export``     convert saved telemetry: chrome-trace JSON, flamegraph
+               formats (collapsed stacks, speedscope)
 ``profile``    statistical stack profiling: wrap sweep/replay/evaluate
                under a sampler, or diff two saved profiles
-``report``     render a saved sweep as the paper's figures/tables
-``suggest``    followee / hashtag recommendations (the extension tasks)
+``report``     render a saved sweep as the paper's figures/tables, or a
+               saved trace or profile
 ``lint``       run reprolint, the repo's AST-based invariant linter
 
 ``evaluate`` and ``sweep`` accept observability flags: ``--trace-out
@@ -21,10 +21,11 @@ trace.json`` saves a span trace (manifest + per-phase timing tree +
 metrics), ``--log-json [PATH]`` streams structured JSON-lines events
 (to stderr when no path is given), and ``--profile-resources`` runs the
 background sampler so every span also records its memory cost and the
-trace carries a stack profile. A saved trace renders as a per-phase
-tree with ``report --artifact timing-breakdown --trace trace.json`` (or
-``resource-breakdown`` for the memory columns, ``hotspots`` for the
-profile).
+trace carries a stack profile. ``report --artifact trace --trace
+trace.json`` renders a saved trace as one per-phase tree with wall,
+self, CPU and memory columns, followed by TTime/ETime, peak RSS, the
+serial critical path, the top straggler cells and the parallel
+efficiency; ``--artifact hotspots`` renders its profile.
 
 A running sweep narrates itself: executors emit heartbeat events (cell
 started/finished with worker id and attempt, EWMA cell rate, ETA) into
@@ -33,12 +34,9 @@ monitor PATH`` renders that state -- cells done/total, per-worker
 occupancy, quarantine count, ETA -- either once (``--snapshot``, with
 ``--json`` for machines) or as a refreshing view. ``repro export trace
 --trace trace.json`` converts a saved span trace to Chrome trace-event
-JSON (open in https://ui.perfetto.dev), ``repro export metrics`` renders
-its metrics in Prometheus text exposition format, and ``repro report
---artifact critical-path --trace trace.json`` prints the serial
-critical path, per-phase self-times, top straggler cells and parallel
-efficiency. ``sweep --progress`` drives a minimal inline progress line;
-add ``--quiet`` to drop the per-cell lines and keep only that.
+JSON (open in https://ui.perfetto.dev). ``sweep --progress`` drives a
+minimal inline progress line; add ``--quiet`` to drop the per-cell
+lines and keep only that.
 
 ``sweep`` supervises its cells: ``--cell-timeout`` bounds each attempt's
 wall clock (with ``--jobs``), ``--max-attempts``/``--retry-backoff``
@@ -61,16 +59,13 @@ Examples
     python -m repro replay --models TN TNG --jobs 2 --json replay.json
     python -m repro monitor sweep.journal.jsonl --snapshot
     python -m repro export trace --trace trace.json --out trace.chrome.json
-    python -m repro export metrics --trace trace.json
-    python -m repro report --artifact critical-path --trace trace.json
+    python -m repro report --artifact trace --trace trace.json --top 5
     python -m repro profile -- sweep --out sweep.json --fast --jobs 2
     python -m repro profile --hz 251 --out pr.json -- evaluate --model LDA
     python -m repro profile diff before.json after.json
     python -m repro export profile --profile profile.json --format speedscope
     python -m repro report --artifact hotspots --profile profile.json --top 10
     python -m repro report --sweep sweep.json --artifact figure --group "All Users"
-    python -m repro report --artifact resource-breakdown --trace trace.json
-    python -m repro suggest --kind hashtag --text "word1 word2"
     python -m repro lint src benchmarks tests --format json
 """
 
@@ -120,16 +115,13 @@ from repro.obs import (
     active_sampler,
     collapsed_stacks,
     format_chrome_trace,
-    format_critical_path,
     format_hotspots,
     format_profile_diff,
-    format_resource_breakdown,
     format_snapshot,
-    format_timing_breakdown,
+    format_trace_report,
     load_profile,
     load_progress,
     load_trace,
-    prometheus_exposition,
     speedscope_document,
 )
 from repro.twitter.dataset import DatasetConfig, generate_dataset, select_user_groups
@@ -186,7 +178,7 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile-resources", action="store_true",
         help="sample RSS/CPU per span and stacks so the trace carries memory "
-             "columns (report --artifact resource-breakdown) and a profile "
+             "columns (report --artifact trace) and a profile "
              "(report --artifact hotspots)",
     )
 
@@ -471,15 +463,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     except (PersistenceError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.export_command == "trace":
-        # --format currently admits only chrome-trace; the flag exists so
-        # more formats can land without breaking invocations.
-        rendered = format_chrome_trace(trace)
-    else:
-        rendered = prometheus_exposition(
-            trace.get("metrics", {}), prefix=args.prefix
-        )
-    _emit_rendered(rendered, args.out)
+    _emit_rendered(format_chrome_trace(trace), args.out)
     return 0
 
 
@@ -556,16 +540,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 2
         print(format_hotspots(profile, top=args.top))
         return 0
-    if args.artifact in ("timing-breakdown", "resource-breakdown", "critical-path"):
+    if args.artifact == "trace":
         if not args.trace:
-            raise SystemExit(f"--trace is required for the {args.artifact} artifact")
-        trace = load_trace(args.trace)
-        if args.artifact == "timing-breakdown":
-            print(format_timing_breakdown(trace))
-        elif args.artifact == "critical-path":
-            print(format_critical_path(trace, top=args.top))
-        else:
-            print(format_resource_breakdown(trace))
+            raise SystemExit("--trace is required for the trace artifact")
+        print(format_trace_report(load_trace(args.trace), top=args.top))
         return 0
     if not args.sweep:
         raise SystemExit(f"--sweep is required for the {args.artifact} artifact")
@@ -639,35 +617,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def cmd_suggest(args: argparse.Namespace) -> int:
-    from repro.core.extensions import FolloweeRecommender, HashtagRecommender
-    from repro.models.bag import TokenNGramModel
-
-    dataset, _ = _make_dataset(args)
-    model = TokenNGramModel(n=1, weighting="TF")
-    if args.kind == "followee":
-        if args.user is None:
-            raise SystemExit("--user is required for followee suggestions")
-        recommender = FolloweeRecommender(dataset, model).fit()
-        suggestions = recommender.recommend(args.user, k=args.k)
-        print(f"accounts for user {args.user}:")
-        for item in suggestions:
-            print(f"  @user{item.candidate}  score={item.score:.3f}")
-    else:
-        recommender = HashtagRecommender(dataset, model).fit()
-        if args.text:
-            suggestions = recommender.recommend_for_text(args.text, k=args.k)
-            print(f"hashtags for {args.text!r}:")
-        elif args.user is not None:
-            suggestions = recommender.recommend_for_user(args.user, k=args.k)
-            print(f"hashtags for user {args.user}:")
-        else:
-            raise SystemExit("--text or --user is required for hashtag suggestions")
-        for item in suggestions:
-            print(f"  {item.candidate}  score={item.score:.3f}")
     return 0
 
 
@@ -903,26 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", default=None,
         help="output path (default: stdout); load it at https://ui.perfetto.dev",
     )
-    p_export_trace.add_argument(
-        "--format", choices=["chrome-trace"], default="chrome-trace",
-        help="output format (chrome-trace: JSON array of trace events)",
-    )
     p_export_trace.set_defaults(func=cmd_export)
-    p_export_metrics = export_sub.add_parser(
-        "metrics", help="metrics snapshot -> Prometheus text exposition"
-    )
-    p_export_metrics.add_argument(
-        "--trace", required=True, help="trace JSON written by --trace-out"
-    )
-    p_export_metrics.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="output path (default: stdout)",
-    )
-    p_export_metrics.add_argument(
-        "--prefix", default="repro",
-        help="metric name prefix (default: repro)",
-    )
-    p_export_metrics.set_defaults(func=cmd_export)
     p_export_profile = export_sub.add_parser(
         "profile", help="stack profile -> collapsed stacks / speedscope JSON"
     )
@@ -944,15 +874,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="render a saved sweep or trace")
     p_report.add_argument("--sweep", help="sweep JSON path")
-    p_report.add_argument("--trace", help="trace JSON path (*-breakdown artifacts)")
+    p_report.add_argument("--trace", help="trace JSON path (trace artifact)")
     p_report.add_argument("--profile",
                           help="profile JSON path (hotspots artifact)")
     p_report.add_argument("--artifact", default="figure",
                           choices=["figure", "table6", "table7", "figure7",
-                                   "timing-breakdown", "resource-breakdown",
-                                   "critical-path", "hotspots"])
+                                   "trace", "hotspots"])
     p_report.add_argument("--top", type=int, default=5, metavar="N",
-                          help="straggler cells listed by critical-path / "
+                          help="straggler cells listed by trace / "
                                "functions per phase listed by hotspots "
                                "(default: 5)")
     p_report.add_argument("--group", default=UserType.ALL.value,
@@ -1038,14 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
              "evaluate); or: diff BEFORE.json AFTER.json",
     )
     p_profile.set_defaults(func=cmd_profile)
-
-    p_suggest = sub.add_parser("suggest", help="followee / hashtag suggestions")
-    _add_dataset_arguments(p_suggest)
-    p_suggest.add_argument("--kind", required=True, choices=["followee", "hashtag"])
-    p_suggest.add_argument("--user", type=int)
-    p_suggest.add_argument("--text")
-    p_suggest.add_argument("-k", type=int, default=5)
-    p_suggest.set_defaults(func=cmd_suggest)
 
     return parser
 

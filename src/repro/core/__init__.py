@@ -6,7 +6,6 @@ from repro.core.baselines import (
     random_ordering_expected_ap,
 )
 from repro.core.documents import DocumentFactory
-from repro.core.extensions import FolloweeRecommender, HashtagRecommender, ScoredCandidate
 from repro.core.pipeline import EvaluationResult, ExperimentPipeline
 from repro.core.recommender import RankedItem, RankingRecommender
 from repro.core.sources import (
@@ -45,9 +44,6 @@ __all__ = [
     "UserProfiles",
     "artifact_key",
     "canonical_params",
-    "FolloweeRecommender",
-    "HashtagRecommender",
-    "ScoredCandidate",
     "EvaluationResult",
     "ExperimentPipeline",
     "RankedItem",

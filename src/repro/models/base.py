@@ -251,8 +251,8 @@ class RepresentationModel(abc.ABC):
         ``represent``, when given, replaces the model's own
         representation of each folded document (a pipeline passes
         representations it computed in advance). Each family base class
-        provides its state; models outside the protocol (extensions,
-        baselines) need not implement it.
+        provides its state; models outside the protocol need not
+        implement it.
         """
         raise NotImplementedError(f"{type(self).__name__} has no incremental profile state")
 

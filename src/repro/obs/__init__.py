@@ -20,8 +20,7 @@ Eight primitives, one facade:
   from the event stream, plus the console progress sinks and the
   ``repro monitor`` snapshot loaders;
 * :mod:`repro.obs.export`    -- Chrome trace-event
-  (:func:`chrome_trace_events`, Perfetto-loadable), Prometheus text
-  exposition (:func:`prometheus_exposition`) and flamegraph
+  (:func:`chrome_trace_events`, Perfetto-loadable) and flamegraph
   (:func:`collapsed_stacks`, :func:`speedscope_document`) exporters;
 * :mod:`repro.obs.profiler`  -- the sampler's mergeable
   :class:`Profile` documents of span-attributed collapsed stacks;
@@ -38,7 +37,6 @@ from repro.obs.export import (
     chrome_trace_events,
     collapsed_stacks,
     format_chrome_trace,
-    prometheus_exposition,
     speedscope_document,
 )
 from repro.obs.manifest import RunManifest
@@ -53,11 +51,9 @@ from repro.obs.progress import (
 )
 from repro.obs.report import (
     diff_profiles,
-    format_critical_path,
     format_hotspots,
     format_profile_diff,
-    format_resource_breakdown,
-    format_timing_breakdown,
+    format_trace_report,
 )
 from repro.obs.sampling import ResourceWatch, Sampler, active_sampler, read_rss_bytes
 from repro.obs.telemetry import (
@@ -97,16 +93,13 @@ __all__ = [
     "current_span_path",
     "diff_profiles",
     "format_chrome_trace",
-    "format_critical_path",
     "format_hotspots",
     "format_profile_diff",
-    "format_resource_breakdown",
     "format_snapshot",
-    "format_timing_breakdown",
+    "format_trace_report",
     "load_profile",
     "load_progress",
     "load_trace",
-    "prometheus_exposition",
     "read_rss_bytes",
     "speedscope_document",
 ]

@@ -1,7 +1,8 @@
 """Export saved telemetry into external tool formats.
 
-Two converters, both pure functions of a saved trace document (the JSON
-written by ``--trace-out`` / :meth:`repro.obs.telemetry.Telemetry.save_trace`):
+Pure functions of a saved trace or profile document (the JSON written by
+``--trace-out`` / :meth:`repro.obs.telemetry.Telemetry.save_trace`, or
+by ``repro profile``):
 
 * :func:`chrome_trace_events` turns the span tree into Chrome
   trace-event JSON (the array-of-events form), loadable in Perfetto or
@@ -10,11 +11,6 @@ written by ``--trace-out`` / :meth:`repro.obs.telemetry.Telemetry.save_trace`):
   telemetry) are mapped onto per-worker ``tid`` lanes, so a ``--jobs 4``
   sweep renders as four swimlanes of cells under the main lane's sweep
   span.
-* :func:`prometheus_exposition` renders a
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot in the Prometheus
-  text exposition format, so any run's counters/gauges/histograms can be
-  scraped, pushed to a gateway, or diffed between runs with plain text
-  tools.
 * :func:`collapsed_stacks` and :func:`speedscope_document` convert a
   stack-profile document (``repro profile``, see
   :mod:`repro.obs.profiler`) into the two de-facto flamegraph exchange
@@ -35,7 +31,6 @@ which is what straggler hunting needs.
 from __future__ import annotations
 
 import json
-import re
 
 from repro.obs.tracing import Span
 
@@ -43,7 +38,6 @@ __all__ = [
     "chrome_trace_events",
     "collapsed_stacks",
     "format_chrome_trace",
-    "prometheus_exposition",
     "speedscope_document",
 ]
 
@@ -150,61 +144,6 @@ def chrome_trace_events(trace: dict) -> list[dict]:
 def format_chrome_trace(trace: dict) -> str:
     """The chrome-trace JSON array as text, ready to load in Perfetto."""
     return json.dumps(chrome_trace_events(trace), sort_keys=True)
-
-
-_METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prometheus_name(name: str, prefix: str) -> str:
-    flat = _METRIC_NAME_RE.sub("_", name)
-    return f"{prefix}_{flat}" if prefix else flat
-
-
-def _format_value(value: object) -> str:
-    number = float(value)  # type: ignore[arg-type]
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    return repr(number)
-
-
-def prometheus_exposition(metrics: dict, prefix: str = "repro") -> str:
-    """Render a metrics snapshot in Prometheus text exposition format.
-
-    Counters and gauges map directly; histograms (streaming
-    count/total/min/max summaries) expose ``_count``/``_sum`` as a
-    summary family plus ``_min``/``_max`` gauges. Never-written gauges
-    and never-observed histograms are omitted -- exposition only states
-    what was measured. Output is sorted by metric name, so two runs
-    diff cleanly.
-    """
-    lines: list[str] = []
-    for name in sorted(metrics):
-        payload = metrics[name]
-        kind = payload.get("type")
-        exposed = _prometheus_name(name, prefix)
-        if kind == "counter":
-            lines.append(f"# TYPE {exposed} counter")
-            lines.append(f"{exposed} {_format_value(payload.get('value', 0))}")
-        elif kind == "gauge":
-            if payload.get("value") is None:
-                continue
-            lines.append(f"# TYPE {exposed} gauge")
-            lines.append(f"{exposed} {_format_value(payload['value'])}")
-        elif kind == "histogram":
-            if not payload.get("count"):
-                # Created but never observed: skip the whole family,
-                # like unwritten gauges -- a `_count 0` / `_sum 0` pair
-                # would claim a measurement that never happened.
-                continue
-            lines.append(f"# TYPE {exposed} summary")
-            lines.append(f"{exposed}_count {_format_value(payload.get('count', 0))}")
-            lines.append(f"{exposed}_sum {_format_value(payload.get('total', 0.0))}")
-            for bound in ("min", "max"):
-                value = payload.get(bound)
-                if value is not None:
-                    lines.append(f"# TYPE {exposed}_{bound} gauge")
-                    lines.append(f"{exposed}_{bound} {_format_value(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _frame_label(frame: list | tuple) -> str:

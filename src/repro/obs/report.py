@@ -1,18 +1,19 @@
-"""Render saved traces as human-readable reports.
+"""Render saved traces and profiles as human-readable reports.
 
-``repro report --artifact timing-breakdown --trace trace.json`` uses
-:func:`format_timing_breakdown` to turn a trace document into a
-per-phase tree: sibling spans with the same name are merged into one
-line with a call count and summed duration, so a 20-user run shows
-``profiles ×20`` rather than twenty lines. The footer restates the
-paper's two efficiency measures (TTime = fit + profiles, ETime = rank)
-as rolled up from the span tree.
+``repro report --artifact trace --trace trace.json`` uses
+:func:`format_trace_report` to print one span tree in one walk: sibling
+spans with the same name merge into one row, so a 20-user run shows one
+``profiles`` row with 20 calls rather than twenty rows. Each row carries
+calls, wall, self, CPU and peak-RSS columns; CPU and RSS come from a
+:class:`~repro.obs.sampling.Sampler` (``--profile-resources`` runs) and
+read ``-`` where nothing was sampled. The footer restates the paper's
+two efficiency measures (TTime = fit + profiles, ETime = rank), the
+run's peak RSS, the serial critical chain, the straggler cells and the
+sweep's parallel efficiency.
 
-``--artifact resource-breakdown`` renders the same merged tree with
-the memory and CPU columns recorded by a
-:class:`~repro.obs.sampling.Sampler` (``--profile-resources``
-runs): per-phase CPU seconds and peak RSS, the dimension behind the
-paper's PLSA-memory exclusion.
+``--artifact hotspots`` renders a stack profile with
+:func:`format_hotspots`, and ``repro profile diff`` compares two with
+:func:`format_profile_diff`.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from repro.obs.tracing import Span
 __all__ = [
     "critical_path",
     "diff_profiles",
-    "format_critical_path",
     "format_hotspots",
     "format_profile_diff",
-    "format_resource_breakdown",
-    "format_timing_breakdown",
+    "format_trace_report",
 ]
 
 #: Span names whose rollup forms the paper's TTime measure.
@@ -34,36 +33,7 @@ TRAINING_PHASES = ("fit", "profiles")
 #: Span name whose rollup forms the paper's ETime measure.
 TESTING_PHASE = "rank"
 
-
-def _merge_siblings(spans: list[Span]) -> list[tuple[Span, int, float, list[Span]]]:
-    """Group same-named siblings: (exemplar, count, total, all children)."""
-    order: list[str] = []
-    groups: dict[str, list[Span]] = {}
-    for span in spans:
-        if span.name not in groups:
-            order.append(span.name)
-            groups[span.name] = []
-        groups[span.name].append(span)
-    merged = []
-    for name in order:
-        members = groups[name]
-        total = sum(s.duration or 0.0 for s in members)
-        children = [c for s in members for c in s.children]
-        merged.append((members[0], len(members), total, children))
-    return merged
-
-
-def _render(spans: list[Span], indent: int, lines: list[str]) -> None:
-    for exemplar, count, total, children in _merge_siblings(spans):
-        attrs = ""
-        if count == 1 and exemplar.attributes:
-            attrs = " [" + " ".join(
-                f"{k}={v}" for k, v in exemplar.attributes.items()
-            ) + "]"
-        calls = f" x{count}" if count > 1 else ""
-        label = f"{'  ' * indent}{exemplar.name}{attrs}{calls}"
-        lines.append(f"{label:<48}{total:>10.3f}s")
-        _render(children, indent + 1, lines)
+_MIB = 1024 * 1024
 
 
 def _manifest_line(trace: dict, lines: list[str]) -> None:
@@ -81,83 +51,6 @@ def _manifest_line(trace: dict, lines: list[str]) -> None:
         bits.append(f"started {manifest['started_at']}")
     if bits:
         lines.append("run: " + ", ".join(bits))
-
-
-def format_timing_breakdown(trace: dict) -> str:
-    """Per-phase timing tree plus TTime/ETime rollups for one trace."""
-    spans = [Span.from_dict(p) for p in trace.get("spans", [])]
-    lines = ["timing breakdown (wall-clock seconds)"]
-    _manifest_line(trace, lines)
-
-    if not spans:
-        lines.append("(no spans recorded)")
-        return "\n".join(lines)
-
-    _render(spans, 0, lines)
-
-    training = sum(sum(root.total(p) for root in spans) for p in TRAINING_PHASES)
-    testing = sum(root.total(TESTING_PHASE) for root in spans)
-    lines.append("")
-    lines.append(f"TTime (fit + profiles) = {training:.3f}s")
-    lines.append(f"ETime (rank)           = {testing:.3f}s")
-    return "\n".join(lines)
-
-
-def _peak_rss(span: Span) -> float | None:
-    """Deep maximum ``peak_rss_bytes`` over a span and its descendants."""
-    candidates = [value for c in span.children if (value := _peak_rss(c)) is not None]
-    own = span.resources.get("peak_rss_bytes")
-    if own is not None:
-        candidates.append(float(own))
-    return max(candidates) if candidates else None
-
-
-def _render_resources(spans: list[Span], indent: int, lines: list[str]) -> None:
-    for exemplar, count, total, children in _merge_siblings(spans):
-        members = [exemplar] if count == 1 else None
-        calls = f" x{count}" if count > 1 else ""
-        label = f"{'  ' * indent}{exemplar.name}{calls}"
-        # Merged siblings: wall and CPU add up, RSS peaks take the max.
-        group = [s for s in spans if s.name == exemplar.name] if members is None else members
-        cpu_values = [s.resources.get("cpu_seconds") for s in group]
-        cpu = (
-            sum(float(v) for v in cpu_values if v is not None)
-            if any(v is not None for v in cpu_values)
-            else None
-        )
-        rss_values = [value for s in group if (value := _peak_rss(s)) is not None]
-        rss = max(rss_values) if rss_values else None
-        cpu_cell = f"{cpu:>9.3f}s" if cpu is not None else f"{'-':>10}"
-        rss_cell = f"{rss / (1024 * 1024):>9.1f}M" if rss is not None else f"{'-':>10}"
-        lines.append(f"{label:<48}{total:>10.3f}s{cpu_cell}{rss_cell}")
-        _render_resources(children, indent + 1, lines)
-
-
-def format_resource_breakdown(trace: dict) -> str:
-    """The merged span tree with wall, CPU and peak-RSS columns."""
-    spans = [Span.from_dict(p) for p in trace.get("spans", [])]
-    lines = ["resource breakdown (wall / cpu / peak RSS)"]
-    _manifest_line(trace, lines)
-
-    if not spans:
-        lines.append("(no spans recorded)")
-        return "\n".join(lines)
-
-    lines.append(f"{'span':<48}{'wall':>11}{'cpu':>10}{'rss':>10}")
-    _render_resources(spans, 0, lines)
-
-    overall = [value for s in spans if (value := _peak_rss(s)) is not None]
-    lines.append("")
-    if overall:
-        lines.append(f"peak RSS = {max(overall) / (1024 * 1024):.1f} MiB")
-    else:
-        lines.append(
-            "(no resource samples recorded; rerun with --profile-resources)"
-        )
-    return "\n".join(lines)
-
-
-# -- critical path and straggler analysis -----------------------------------
 
 
 def _child_seconds(span: Span) -> float:
@@ -182,14 +75,62 @@ def _self_seconds(span: Span) -> float:
     return max(0.0, (span.duration or 0.0) - _child_seconds(span))
 
 
-def _find_named(spans: list[Span], name: str) -> Span | None:
+def _peak(*values: float | None) -> float | None:
+    present = [float(v) for v in values if v is not None]
+    return max(present) if present else None
+
+
+def _attributes(span: Span) -> str:
+    if not span.attributes:
+        return ""
+    return " [" + " ".join(f"{k}={v}" for k, v in sorted(span.attributes.items())) + "]"
+
+
+def _row_label(exemplar: Span, calls: int) -> str:
+    charged = exemplar.attributes.get("charged_to")
+    if charged is not None:
+        return f"{exemplar.name} (in {charged})"
+    return exemplar.name + (_attributes(exemplar) if calls == 1 else "")
+
+
+def _render_tree(
+    spans: list[Span], depth: int, lines: list[str], by_name: dict[str, list[Span]]
+) -> float | None:
+    """Append one row per merged sibling group, parents before children.
+
+    Same-named siblings merge: wall, self and CPU add up, RSS takes the
+    highest peak anywhere in the members' subtrees, and the members'
+    children merge one level down. Every span is indexed in ``by_name`` on the way. Returns
+    the peak RSS of the whole forest, or None when none was sampled.
+    """
+    groups: dict[str, list[Span]] = {}
     for span in spans:
-        if span.name == name:
-            return span
-        found = _find_named(span.children, name)
-        if found is not None:
-            return found
-    return None
+        groups.setdefault(span.name, []).append(span)
+    forest_peak: float | None = None
+    for name, members in groups.items():
+        by_name.setdefault(name, []).extend(members)
+        row = len(lines)
+        lines.append("")
+        children = [child for member in members for child in member.children]
+        rss = _peak(
+            _render_tree(children, depth + 1, lines, by_name),
+            *(member.resources.get("peak_rss_bytes") for member in members),
+        )
+        cpu_values = [
+            float(value)
+            for member in members
+            if (value := member.resources.get("cpu_seconds")) is not None
+        ]
+        wall = sum(member.duration or 0.0 for member in members)
+        own = sum(_self_seconds(member) for member in members)
+        cpu_cell = f"{sum(cpu_values):>9.3f}s" if cpu_values else f"{'-':>10}"
+        rss_cell = f"{rss / _MIB:>9.1f}M" if rss is not None else f"{'-':>10}"
+        label = "  " * depth + _row_label(members[0], len(members))
+        lines[row] = (
+            f"{label:<48}{len(members):>6}{wall:>10.3f}s{own:>10.3f}s{cpu_cell}{rss_cell}"
+        )
+        forest_peak = _peak(forest_peak, rss)
+    return forest_peak
 
 
 def critical_path(spans: list[Span]) -> list[Span]:
@@ -223,64 +164,48 @@ def _cell_identity(span: Span) -> str:
     return identity
 
 
-def _collect_named(spans: list[Span], name: str, found: list[Span]) -> None:
-    for span in spans:
-        if span.name == name:
-            found.append(span)
-        _collect_named(span.children, name, found)
+def format_trace_report(trace: dict, top: int = 5) -> str:
+    """The merged span tree, TTime/ETime, peak RSS, critical chain,
+    straggler cells and parallel efficiency of one trace.
 
-
-def _phase_rollup(spans: list[Span], rollup: dict[str, list[float]]) -> None:
-    for span in spans:
-        entry = rollup.setdefault(span.name, [0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += span.duration or 0.0
-        entry[2] += _self_seconds(span)
-        _phase_rollup(span.children, rollup)
-
-
-def format_critical_path(trace: dict, top: int = 5) -> str:
-    """Critical path, phase self-times, stragglers, parallel efficiency.
-
-    The sweep's cells are independent, so its *serial* critical path is
+    A sweep's cells are independent, so its *serial* critical path is
     the chain sweep -> slowest cell -> that cell's slowest phase; the
-    straggler table ranks every evaluated cell by duration with its
-    (model, source, params) identity and worker/attempt attribution; and
+    straggler list ranks the ``top`` slowest cells with their (model,
+    source, params) identity and worker/attempt attribution; and
     parallel efficiency is busy time over ``workers x makespan`` -- the
     fraction of the pool that was doing cell work rather than waiting.
     """
     spans = [Span.from_dict(payload) for payload in trace.get("spans", [])]
-    lines = ["critical path (serial chain through the sweep)"]
+    lines = ["trace report (merged span tree)"]
     _manifest_line(trace, lines)
     if not spans:
         lines.append("(no spans recorded)")
         return "\n".join(lines)
 
+    lines.append(f"{'span':<48}{'calls':>6}{'wall':>11}{'self':>11}{'cpu':>10}{'rss':>10}")
+    by_name: dict[str, list[Span]] = {}
+    peak = _render_tree(spans, 0, lines, by_name)
+    lines.append("")
+    if any("charged_to" in s.attributes for members in by_name.values() for s in members):
+        lines.append("a row marked (in S) is already inside the S rows: do not add it again")
+    training = sum(sum(root.total(p) for root in spans) for p in TRAINING_PHASES)
+    testing = sum(root.total(TESTING_PHASE) for root in spans)
+    lines.append(f"TTime (fit + profiles) = {training:.3f}s")
+    lines.append(f"ETime (rank)           = {testing:.3f}s")
+    if peak is not None:
+        lines.append(f"peak RSS = {peak / _MIB:.1f} MiB")
+    else:
+        lines.append("(no resource samples recorded; rerun with --profile-resources)")
+
+    lines.append("")
+    lines.append("critical path (serial chain through the run)")
     for depth, span in enumerate(critical_path(spans)):
-        attrs = ""
-        if span.attributes:
-            attrs = " [" + " ".join(
-                f"{k}={v}" for k, v in sorted(span.attributes.items())
-            ) + "]"
-        label = f"{'  ' * depth}{span.name}{attrs}"
+        label = f"{'  ' * depth}{span.name}{_attributes(span)}"
         lines.append(
             f"{label:<56}{span.duration or 0.0:>9.3f}s  self {_self_seconds(span):.3f}s"
         )
 
-    rollup: dict[str, list[float]] = {}
-    _phase_rollup(spans, rollup)
-    lines.append("")
-    lines.append("per-phase totals (self vs child time)")
-    lines.append(f"{'phase':<28}{'calls':>6}{'total':>11}{'self':>11}{'child':>11}")
-    for name in sorted(rollup, key=lambda n: -rollup[n][1]):
-        count, total, self_time = rollup[name]
-        child = max(0.0, total - self_time)
-        lines.append(
-            f"{name:<28}{int(count):>6}{total:>10.3f}s{self_time:>10.3f}s{child:>10.3f}s"
-        )
-
-    cells: list[Span] = []
-    _collect_named(spans, "config", cells)
+    cells = by_name.get("config", [])
     if cells:
         stragglers = sorted(cells, key=lambda s: -(s.duration or 0.0))[:top]
         lines.append("")
@@ -290,8 +215,9 @@ def format_critical_path(trace: dict, top: int = 5) -> str:
                 f"{rank:>3}. {_cell_identity(span):<56}{span.duration or 0.0:>9.3f}s"
             )
 
-    sweep = _find_named(spans, "sweep")
-    if sweep is not None and cells:
+    sweeps = by_name.get("sweep")
+    if sweeps and cells:
+        sweep = sweeps[0]
         makespan = sweep.duration or 0.0
         busy = sum(span.duration or 0.0 for span in cells)
         jobs = sweep.attributes.get("jobs")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.obs.events import EventLog, JsonLinesSink, MemorySink
 from repro.obs.manifest import RunManifest
@@ -123,3 +126,35 @@ class TestRunManifest:
         assert restored.models == ["TN"]
         assert restored.extra == {"note": "smoke"}
         assert restored.wall_seconds == manifest.wall_seconds
+        assert restored.peak_rss_mb == manifest.peak_rss_mb
+        assert restored.children_peak_rss_mb == manifest.children_peak_rss_mb
+
+    def test_finish_records_peak_rss(self):
+        manifest = RunManifest.create(seed=0)
+        assert manifest.peak_rss_mb is None
+        manifest.finish()
+        assert manifest.peak_rss_mb > 0
+        assert manifest.children_peak_rss_mb >= 0
+
+    def test_stamping_forks_no_child(self):
+        # The children's peak must be the run's own workers, not a helper
+        # process the manifest started to read the platform.
+        code = (
+            "from repro.obs.manifest import RunManifest\n"
+            "manifest = RunManifest.create(seed=0).finish()\n"
+            "assert manifest.platform\n"
+            "print(manifest.children_peak_rss_mb)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert float(out) == 0.0
+
+    def test_dict_without_peak_rss_still_loads(self):
+        # The committed sweeps predate the peak-RSS fields.
+        old = {"seed": 4, "command": "sweep", "wall_seconds": 2.5, "cpu_count": 2}
+        restored = RunManifest.from_dict(old)
+        assert restored.seed == 4 and restored.wall_seconds == 2.5
+        assert restored.peak_rss_mb is None
+        assert restored.children_peak_rss_mb is None

@@ -1,4 +1,4 @@
-"""Tests for the chrome-trace, Prometheus and flamegraph exporters.
+"""Tests for the chrome-trace and flamegraph exporters.
 
 The chrome-trace contract: the output is a JSON array Perfetto can
 load — metadata events naming the lanes, then one complete-duration
@@ -15,10 +15,8 @@ from repro.obs.export import (
     chrome_trace_events,
     collapsed_stacks,
     format_chrome_trace,
-    prometheus_exposition,
     speedscope_document,
 )
-from repro.obs.metrics import MetricsRegistry
 
 
 def span(name, duration, children=(), resources=None, **attributes):
@@ -125,63 +123,6 @@ class TestChromeTrace:
     def test_empty_trace_yields_process_metadata_only(self):
         events = chrome_trace_events(trace())
         assert all(e["ph"] == "M" for e in events)
-
-
-class TestPrometheusExposition:
-    def _metrics(self):
-        registry = MetricsRegistry()
-        registry.counter("sweep.cells.done").inc(7)
-        registry.gauge("sweep.jobs").set(4)
-        for value in (1.0, 3.0):
-            registry.histogram("cell.seconds").observe(value)
-        return registry.snapshot()
-
-    def test_counter_gauge_histogram_families(self):
-        text = prometheus_exposition(self._metrics())
-        assert "# TYPE repro_sweep_cells_done counter" in text
-        assert "repro_sweep_cells_done 7" in text
-        assert "repro_sweep_jobs 4" in text
-        assert "# TYPE repro_cell_seconds summary" in text
-        assert "repro_cell_seconds_count 2" in text
-        assert "repro_cell_seconds_sum 4" in text
-        assert "repro_cell_seconds_min 1" in text
-        assert "repro_cell_seconds_max 3" in text
-        assert text.endswith("\n")
-
-    def test_names_are_sanitized_and_families_sorted(self):
-        text = prometheus_exposition(self._metrics(), prefix="x")
-        samples = [
-            line.split()[0] for line in text.splitlines()
-            if not line.startswith("#")
-        ]
-        assert all(c.isalnum() or c in "_:" for name in samples for c in name)
-        # Families render in sorted metric-name order (the derived
-        # _count/_sum/_min/_max samples stay grouped with their family).
-        families = ["x_cell_seconds", "x_sweep_cells_done", "x_sweep_jobs"]
-        assert [text.index(f) for f in families] == sorted(
-            text.index(f) for f in families
-        )
-
-    def test_unwritten_gauge_is_omitted(self):
-        registry = MetricsRegistry()
-        registry.gauge("never.set")
-        assert prometheus_exposition(registry.snapshot()) == ""
-
-    def test_never_observed_histogram_is_omitted(self):
-        # A histogram that was created but never observed used to emit
-        # `_count 0` / `_sum 0` samples, polluting dashboards with dead
-        # families.  It must vanish like an unwritten gauge.
-        registry = MetricsRegistry()
-        registry.histogram("never.observed")
-        assert prometheus_exposition(registry.snapshot()) == ""
-
-    def test_observed_histogram_still_renders_next_to_empty_one(self):
-        registry = MetricsRegistry()
-        registry.histogram("never.observed")
-        registry.histogram("cell.seconds").observe(2.0)
-        text = prometheus_exposition(registry.snapshot())
-        assert "repro_cell_seconds_count 1" in text
-        assert "never_observed" not in text
 
 
 def profile(stacks, *, hz=97.0, samples=None, dropped=0, truncated=0,

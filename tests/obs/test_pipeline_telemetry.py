@@ -23,7 +23,7 @@ from repro.obs import (
     MemorySink,
     RunManifest,
     Telemetry,
-    format_timing_breakdown,
+    format_trace_report,
     load_trace,
 )
 from repro.twitter.entities import UserType
@@ -41,16 +41,28 @@ def users(small_dataset, small_groups):
 
 
 class TestTimingParity:
+    # TN folds one document at a time; LDA and BTM fold in one batch per
+    # stage, a ``<stage>.fold`` span charged to the per-user segments.
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: TokenNGramModel(n=1, weighting="TF"),
+            lambda: LdaModel(n_topics=5, iterations=5),
+            lambda: BitermTopicModel(n_topics=5, iterations=5),
+        ],
+        ids=["TN", "LDA", "BTM"],
+    )
     def test_span_rollups_equal_legacy_ttime_etime(
-        self, small_dataset, users, telemetry
+        self, small_dataset, users, telemetry, make_model
     ):
         pipeline = ExperimentPipeline(
             small_dataset, seed=1, max_train_docs_per_user=40, telemetry=telemetry
         )
-        result = pipeline.evaluate(
-            TokenNGramModel(n=1, weighting="TF"), RepresentationSource.R, users
-        )
+        model = make_model()
+        result = pipeline.evaluate(model, RepresentationSource.R, users)
         tracer = telemetry.tracer
+        batched = not isinstance(model, TokenNGramModel)
+        assert (tracer.total("profiles.fold") > 0) == batched
         assert result.training_seconds == tracer.total("fit") + tracer.total("profiles")
         assert result.testing_seconds == tracer.total("rank")
         assert result.phase_seconds["fit"] == tracer.total("fit")
@@ -151,7 +163,7 @@ class TestTraceRoundTrip:
 
         trace = load_trace(path)
         assert trace["manifest"]["seed"] == 11
-        text = format_timing_breakdown(trace)
+        text = format_trace_report(trace)
         assert "evaluate" in text and "fit" in text and "rank" in text
         assert f"ETime (rank)           = {result.testing_seconds:.3f}s" in text
 
@@ -165,14 +177,14 @@ class TestTraceRoundTrip:
             TokenNGramModel(n=1, weighting="TF"), RepresentationSource.R, users
         )
         path = telemetry.save_trace(tmp_path / "trace.json")
-        assert main(["report", "--artifact", "timing-breakdown", "--trace", str(path)]) == 0
+        assert main(["report", "--artifact", "trace", "--trace", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "timing breakdown" in out
+        assert "trace report" in out
         assert "TTime (fit + profiles)" in out
 
     def test_breakdown_requires_trace(self):
         with pytest.raises(SystemExit):
-            main(["report", "--artifact", "timing-breakdown"])
+            main(["report", "--artifact", "trace"])
 
     def test_sweep_artifacts_still_require_sweep(self):
         with pytest.raises(SystemExit):

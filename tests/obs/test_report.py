@@ -1,9 +1,11 @@
-"""Tests for the trace-report renderers.
+"""Tests for the trace and profile report renderers.
 
 Covers the tree shapes the pipeline actually produces: deeply nested
-span chains, same-named sibling runs that merge into one ``xN`` line,
-and parallel (``--jobs``) traces where worker span forests were
-absorbed into the parent -- plus the resource-breakdown columns.
+span chains, same-named sibling runs that merge into one row with a
+call count, and parallel (``--jobs``) traces where worker span forests
+were absorbed into the parent -- plus the resource columns, the
+critical chain, stragglers and parallel efficiency of the one trace
+report, and the hotspot and profile-diff renderers.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from __future__ import annotations
 from repro.obs.report import (
     critical_path,
     diff_profiles,
-    format_critical_path,
     format_hotspots,
     format_profile_diff,
-    format_resource_breakdown,
-    format_timing_breakdown,
+    format_trace_report,
 )
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import Span
@@ -36,6 +36,32 @@ def trace(*spans, manifest=None):
     return {"version": 1, "manifest": manifest, "spans": list(spans)}
 
 
+def tree_rows(text):
+    """The merged-tree rows: from the column header to the first blank line."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("span "))
+    rows = []
+    for line in lines[header + 1:]:
+        if not line:
+            break
+        rows.append(line)
+    return rows
+
+
+def row(text, name):
+    """The tree row of the span named ``name`` as (calls, wall, self, cpu, rss)."""
+    line = next(r for r in tree_rows(text) if r.split()[0] == name)
+    return line.split()[-5:]
+
+
+def chain(text):
+    """The critical path lines, heading excluded."""
+    lines = text.splitlines()
+    start = lines.index("critical path (serial chain through the run)") + 1
+    end = lines.index("", start) if "" in lines[start:] else len(lines)
+    return lines[start:end]
+
+
 class TestTimingBreakdown:
     def test_deeply_nested_chain_indents_per_level(self):
         doc = trace(
@@ -45,10 +71,11 @@ class TestTimingBreakdown:
                 [span("fit", 3.0, [span("gibbs", 2.5, [span("sweep", 2.0)])])],
             )
         )
-        text = format_timing_breakdown(doc)
-        lines = text.splitlines()
-        evaluate = next(line for line in lines if line.startswith("evaluate"))
-        sweep = next(line for line in lines if "sweep" in line)
+        text = format_trace_report(doc)
+        assert "(in S)" not in text  # no charged spans, no charge note
+        rows = tree_rows(text)
+        evaluate = next(line for line in rows if "evaluate" in line)
+        sweep = next(line for line in rows if "sweep" in line)
         assert evaluate.index("evaluate") == 0
         assert sweep.index("sweep") == 6  # three levels down, two spaces each
 
@@ -63,13 +90,12 @@ class TestTimingBreakdown:
                 ],
             )
         )
-        text = format_timing_breakdown(doc)
-        assert "profiles x2" in text
-        merged = next(line for line in text.splitlines() if "profiles" in line)
-        assert "3.000s" in merged
-        # Children of all merged members roll up under the one line.
-        user = next(line for line in text.splitlines() if "user" in line)
-        assert "x2" in user and "2.000s" in user
+        text = format_trace_report(doc)
+        assert [r.split()[0] for r in tree_rows(text)] == ["evaluate", "profiles", "user"]
+        # Wall 3s; the users' 2s is child time, so 1s is the profiles' own.
+        assert row(text, "profiles")[:3] == ["2", "3.000s", "1.000s"]
+        # Children of all merged members roll up under the one row.
+        assert row(text, "user")[:3] == ["2", "2.000s", "2.000s"]
 
     def test_parallel_trace_rolls_up_all_workers(self):
         # Two workers evaluated one cell each; the parent absorbed both
@@ -86,21 +112,46 @@ class TestTimingBreakdown:
                 )
             )
             parent.absorb({"spans": worker["spans"]})
-        text = format_timing_breakdown(parent.trace_payload())
-        assert "evaluate x2" in text
+        text = format_trace_report(parent.trace_payload())
+        assert row(text, "evaluate")[:2] == ["2", "3.750s"]
         assert "TTime (fit + profiles) = 3.000s" in text
         assert "ETime (rank)           = 0.750s" in text
 
     def test_empty_trace_reports_no_spans(self):
-        assert "(no spans recorded)" in format_timing_breakdown(trace())
+        text = format_trace_report(trace())
+        assert "(no spans recorded)" in text
+        assert "TTime" not in text and "critical path" not in text
 
     def test_manifest_line_renders_provenance(self):
         doc = trace(
             span("evaluate", 1.0),
             manifest={"command": "evaluate", "seed": 7, "package_version": "1.0.0"},
         )
-        text = format_timing_breakdown(doc)
-        assert "run: evaluate, seed=7, repro 1.0.0" in text
+        text = format_trace_report(doc)
+        assert text.splitlines()[1] == "run: evaluate, seed=7, repro 1.0.0"
+
+    def test_charged_rows_are_marked_and_left_out_of_ttime(self):
+        # A topic model's fold batch: 3s, already inside the two
+        # per-user profiles segments beside it.
+        doc = trace(
+            span(
+                "evaluate",
+                9.0,
+                [
+                    span("fit", 2.0),
+                    span("profiles.fold", 3.0, docs=40, charged_to="profiles"),
+                    span("profiles", 2.0),
+                    span("profiles", 2.0),
+                    span("rank", 1.0),
+                ],
+            )
+        )
+        text = format_trace_report(doc)
+        marked = next(r for r in tree_rows(text) if "profiles.fold" in r)
+        assert marked.split()[:3] == ["profiles.fold", "(in", "profiles)"]
+        assert "a row marked (in S) is already inside the S rows" in text
+        assert "TTime (fit + profiles) = 6.000s" in text  # 2 + 2 x 2, not + 3
+        assert "ETime (rank)           = 1.000s" in text
 
 
 class TestResourceBreakdown:
@@ -113,10 +164,9 @@ class TestResourceBreakdown:
                 resources={"cpu_seconds": 0.9, "peak_rss_bytes": 100e6},
             )
         )
-        text = format_resource_breakdown(doc)
-        assert "wall" in text and "cpu" in text and "rss" in text
-        fit = next(line for line in text.splitlines() if "fit" in line)
-        assert "0.700s" in fit and "91.6M" in fit
+        text = format_trace_report(doc)
+        assert text.splitlines()[1].split() == ["span", "calls", "wall", "self", "cpu", "rss"]
+        assert row(text, "fit") == ["1", "0.800s", "0.800s", "0.700s", "91.6M"]
         assert "peak RSS = 95.4 MiB" in text
 
     def test_merged_siblings_sum_cpu_and_max_rss(self):
@@ -124,11 +174,10 @@ class TestResourceBreakdown:
             span("rank", 1.0, resources={"cpu_seconds": 0.4, "peak_rss_bytes": 50e6}),
             span("rank", 2.0, resources={"cpu_seconds": 0.6, "peak_rss_bytes": 80e6}),
         )
-        text = format_resource_breakdown(doc)
-        merged = next(line for line in text.splitlines() if "rank x2" in line)
-        assert "3.000s" in merged  # wall adds up
-        assert "1.000s" in merged  # cpu adds up
-        assert "76.3M" in merged  # rss takes the max (80e6 bytes)
+        # Wall and cpu add up; rss takes the max (80e6 bytes).
+        assert row(format_trace_report(doc), "rank") == [
+            "2", "3.000s", "3.000s", "1.000s", "76.3M",
+        ]
 
     def test_parent_without_samples_inherits_deep_peak(self):
         # Absorbed parallel traces often have bare wrapper spans above
@@ -140,15 +189,17 @@ class TestResourceBreakdown:
                 [span("evaluate", 2.9, resources={"peak_rss_bytes": 70e6})],
             )
         )
-        text = format_resource_breakdown(doc)
-        config = next(line for line in text.splitlines() if line.startswith("config"))
-        assert "66.8M" in config  # deep peak, not a dash
-        assert "-" in config  # but no cpu samples of its own
+        text = format_trace_report(doc)
+        # Deep peak, not a dash; but no cpu samples of its own.
+        assert row(text, "config")[-2:] == ["-", "66.8M"]
+        assert row(text, "evaluate")[-2:] == ["-", "66.8M"]
 
     def test_unsampled_trace_suggests_the_flag(self):
         doc = trace(span("evaluate", 1.0))
-        text = format_resource_breakdown(doc)
+        text = format_trace_report(doc)
+        assert row(text, "evaluate")[-2:] == ["-", "-"]
         assert "--profile-resources" in text
+        assert "peak RSS =" not in text
 
 
 def sweep_trace():
@@ -183,29 +234,21 @@ class TestCriticalPath:
         assert chain[-1].duration == 8.0
 
     def test_report_renders_chain_with_self_times(self):
-        text = format_critical_path(sweep_trace())
-        lines = text.splitlines()
-        assert lines[0] == "critical path (serial chain through the sweep)"
-        sweep_line = next(line for line in lines if line.startswith("sweep"))
+        lines = chain(format_trace_report(sweep_trace()))
+        assert [line.split()[0] for line in lines] == ["sweep", "config", "evaluate", "fit"]
         # 4 cells x 18s child time overlap the 10s makespan: self time
         # clamps at zero instead of going negative.
-        assert "self 0.000s" in sweep_line
-        fit = next(line for line in lines if line.strip().startswith("fit"))
-        assert "8.000s" in fit
+        assert lines[0].endswith("self 0.000s")
+        assert "model=LDA" in lines[1]
+        assert "8.000s" in lines[-1]
 
     def test_phase_rollup_separates_self_and_child_time(self):
-        text = format_critical_path(sweep_trace())
-        lines = text.splitlines()
-        header = next(i for i, l in enumerate(lines) if l.startswith("phase"))
-        table = lines[header + 1:header + 6]
-        # Sorted by total, descending: the 4 cells' summed 18s beats the
-        # sweep's own 10s makespan.
-        assert table[0].startswith("config")
-        fit_row = next(line for line in table if line.startswith("fit"))
-        assert "14.500s" in fit_row  # 8 + 1.5 + 2 + 3, all self time
-        config_row = next(line for line in table if line.startswith("config"))
-        # config total 18s; evaluate children cover 17.5s -> self 0.5s
-        assert "18.000s" in config_row and "17.500s" in config_row
+        text = format_trace_report(sweep_trace())
+        # config: 18s over 4 cells; evaluate children cover 17.5s -> self 0.5s
+        assert row(text, "config")[:3] == ["4", "18.000s", "0.500s"]
+        # fit: 8 + 1.5 + 2 + 3, all self time
+        assert row(text, "fit")[:3] == ["4", "14.500s", "14.500s"]
+        assert row(text, "sweep")[:3] == ["1", "10.000s", "0.000s"]
 
     def test_a_charged_span_is_not_child_time_twice(self):
         # A topic model's rank batch: 3s, charged to the two per-user
@@ -220,12 +263,12 @@ class TestCriticalPath:
                 span("rank", 2.5),
             ],
         )
-        text = format_critical_path(trace(evaluate))
-        line = next(l for l in text.splitlines() if l.startswith("evaluate"))
-        assert line.endswith("self 1.000s")
+        text = format_trace_report(trace(evaluate))
+        assert chain(text)[0].endswith("self 1.000s")
+        assert row(text, "evaluate")[2] == "1.000s"
 
     def test_stragglers_ranked_with_identity_and_attribution(self):
-        text = format_critical_path(sweep_trace(), top=2)
+        text = format_trace_report(sweep_trace(), top=2)
         assert "top 2 straggler cells" in text
         lines = text.splitlines()
         first = next(line for line in lines if line.lstrip().startswith("1."))
@@ -234,9 +277,10 @@ class TestCriticalPath:
         assert "9.000s" in first
         second = next(line for line in lines if line.lstrip().startswith("2."))
         assert "BTM on R" in second
+        assert not any(line.lstrip().startswith("3.") for line in lines)
 
     def test_parallel_efficiency_uses_the_jobs_attribute(self):
-        text = format_critical_path(sweep_trace())
+        text = format_trace_report(sweep_trace())
         # busy 18s / (2 workers x 10s makespan) = 90%
         assert (
             "parallel efficiency: busy 18.000s / "
@@ -247,11 +291,13 @@ class TestCriticalPath:
         doc = trace(
             span("sweep", 4.0, [span("config", 3.0, model="TN", label="TN", source="R")])
         )
-        text = format_critical_path(doc)
+        text = format_trace_report(doc)
         assert "(1 worker(s) x 4.000s makespan) = 75.0%" in text
 
     def test_empty_trace_reports_no_spans(self):
-        assert "(no spans recorded)" in format_critical_path(trace())
+        text = format_trace_report(trace())
+        assert "(no spans recorded)" in text
+        assert "straggler" not in text and "parallel efficiency" not in text
 
 
 def profile_doc(stacks, hz=97.0, overhead=0.01):

@@ -72,11 +72,11 @@ class TestEvaluate:
         ]) == 0
         capsys.readouterr()
         assert main([
-            "report", "--artifact", "resource-breakdown", "--trace", str(trace_path),
+            "report", "--artifact", "trace", "--trace", str(trace_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "resource breakdown" in out
-        assert "peak RSS" in out and "--profile-resources" not in out
+        assert "trace report" in out
+        assert "peak RSS =" in out and "--profile-resources" not in out
         # The same sampler took stack samples; the trace carries them,
         # written after the sampler banked its wall time.
         profile = json.loads(trace_path.read_text())["profile"]
@@ -123,7 +123,7 @@ class TestSweepAndReport:
         assert payload["rows"][0]["phase_seconds"]
 
         assert main([
-            "report", "--artifact", "timing-breakdown", "--trace", str(trace_path),
+            "report", "--artifact", "trace", "--trace", str(trace_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "sweep" in out and "TTime (fit + profiles)" in out
@@ -289,12 +289,6 @@ class TestMonitorAndExport:
         assert "written to" in capsys.readouterr().out
         assert isinstance(json.loads(out.read_text()), list)
 
-    def test_export_metrics_prometheus_exposition(self, artifacts, capsys):
-        assert main(["export", "metrics", "--trace", str(artifacts["trace"])]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_sweep_cells_dispatched counter" in out
-        assert "# TYPE repro_doc_cache_miss counter" in out
-
     def test_export_unreadable_trace_exits_2(self, tmp_path, capsys):
         assert main([
             "export", "trace", "--trace", str(tmp_path / "missing.json"),
@@ -303,13 +297,13 @@ class TestMonitorAndExport:
 
     def test_report_critical_path(self, artifacts, capsys):
         code = main([
-            "report", "--artifact", "critical-path",
+            "report", "--artifact", "trace",
             "--trace", str(artifacts["trace"]), "--top", "3",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "critical path" in out
-        assert "straggler cells" in out
+        assert "top 3 straggler cells" in out
         assert "parallel efficiency" in out
 
 
@@ -446,17 +440,3 @@ class TestProfile:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestSuggest:
-    def test_hashtag_for_text(self, capsys):
-        code = main([
-            "suggest", "--kind", "hashtag", "--text", "some words here", *SMALL,
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "#" in out
-
-    def test_followee_requires_user(self):
-        with pytest.raises(SystemExit):
-            main(["suggest", "--kind", "followee", *SMALL])
