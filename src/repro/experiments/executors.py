@@ -266,11 +266,13 @@ CellJob = Callable[[ExperimentPipeline, ModelConfig, Cell, CellOutcome], None]
 _WORKER_PIPELINES: dict[PipelineSpec, ExperimentPipeline] = {}
 
 
-def _worker_pipeline(spec: PipelineSpec) -> ExperimentPipeline:
+def _worker_pipeline(spec: PipelineSpec, tel: Telemetry) -> ExperimentPipeline:
     pipeline = _WORKER_PIPELINES.get(spec)
     if pipeline is None:
-        pipeline = spec.build()
-        _WORKER_PIPELINES[spec] = pipeline
+        # The rebuild (mostly dataset generation) is the worker's set-up;
+        # its span ships with the first cell the worker runs.
+        with tel.span("worker.setup"):
+            pipeline = _WORKER_PIPELINES[spec] = spec.build()
     return pipeline
 
 
@@ -354,7 +356,9 @@ def evaluate_cell(
     Runs in a pool worker (but is an ordinary function: the serial
     parity tests call it in-process). The pipeline and the grid's
     configuration index are cached per process, so corpus preparation
-    and preprocessing amortise across all cells a worker receives.
+    and preprocessing amortise across all cells a worker receives. The
+    first cell of a spec also pays the pipeline rebuild, traced as a
+    ``worker.setup`` span that ships with that cell's telemetry.
 
     With ``sample_hz`` (the parent sampler's rate) a worker-local
     :class:`~repro.obs.sampling.Sampler` runs at that rate for the
@@ -373,7 +377,6 @@ def evaluate_cell(
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
     config = spec.grid.config(cell.model, cell.params_key)
-    pipeline = _worker_pipeline(spec.pipeline)
     with ExitStack() as stack:
         telemetry = sampler = None
         if collect_telemetry:
@@ -383,8 +386,9 @@ def evaluate_cell(
         events = MemorySink()
         if telemetry is not None:
             telemetry.events.add_sink(events)
-        pipeline.telemetry = telemetry
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
+        pipeline = _worker_pipeline(spec.pipeline, tel)
+        pipeline.telemetry = telemetry
         try:
             outcome = _attempt(pipeline, config, cell, tel, fault_plan, attempt)
         finally:

@@ -19,6 +19,13 @@ This module synthesises languages that reproduce those properties:
   the topical words are what make content-based recommendation possible,
   the common words are the noise the stop-word filter and IDF must fight.
 
+Vocabularies are built on first use, so a dataset builds only the
+languages up to the last one its users write in. Every language draws
+from the inventory's one generator, in declaration order (a lookup
+first builds the unbuilt languages before it), so the words do not
+depend on which language is looked up first and equal an up-front
+build of all of them.
+
 Word frequencies inside a topic follow a Zipf law, matching natural
 language and giving TF-IDF something real to do.
 """
@@ -100,14 +107,138 @@ DEFAULT_LANGUAGES: tuple[tuple[SyntheticLanguage, float], ...] = (
 )
 
 
+@dataclass(frozen=True)
+class _Vocabulary:
+    """One language's materialised words over the shared topics."""
+
+    #: topic_words[topic] -> the topic's words, in Zipf-rank order.
+    topic_words: list[list[str]]
+    #: Topic-independent function words.
+    common_words: list[str]
+    #: successors[topic][word] -> the word's chain successors in that topic.
+    successors: list[dict[str, tuple[str, str]]]
+    #: collocations[topic] -> the topic's fixed two-word collocations.
+    collocations: list[list[tuple[str, str]]]
+
+
+class _Vocabularies(dict):
+    """``language name -> _Vocabulary``, filled on a miss.
+
+    A hit is one plain dict lookup. A miss builds every unbuilt language
+    up to and including the one asked for, in declaration order, from
+    the one generator ``rng`` (see :class:`LanguageInventory`); an
+    unknown name raises ``KeyError`` and builds nothing.
+    """
+
+    def __init__(
+        self,
+        languages: list[SyntheticLanguage],
+        rng: np.random.Generator,
+        n_topics: int,
+        words_per_topic: int,
+        n_shared: int,
+        n_common_words: int,
+        collocations_per_topic: int,
+    ):
+        super().__init__()
+        self.languages = languages
+        self.rng = rng
+        self.n_topics = n_topics
+        self.words_per_topic = words_per_topic
+        self.n_shared = n_shared
+        self.n_common_words = n_common_words
+        self.collocations_per_topic = collocations_per_topic
+        self.positions = {lang.name: i for i, lang in enumerate(languages)}
+
+    def __missing__(self, name: str) -> _Vocabulary:
+        for lang in self.languages[: self.positions[name] + 1]:
+            if lang.name not in self:
+                self[lang.name] = self._build(lang)
+        return self[name]
+
+    def _build(self, lang: SyntheticLanguage) -> _Vocabulary:
+        """Draw one language's vocabulary from the shared generator."""
+        rng = self.rng
+        n_topics = self.n_topics
+        n_shared = self.n_shared
+        n_unique = self.words_per_topic - n_shared
+        seen: set[str] = set()
+
+        def fresh_word() -> str:
+            # Rejection-sample until the word is new in this language,
+            # so unique vocabularies do not alias each other.
+            for _ in range(1000):
+                word = lang.make_word(rng)
+                if word not in seen:
+                    seen.add(word)
+                    return word
+            raise DataGenerationError(
+                f"language {lang.name!r}: could not generate enough distinct words"
+            )
+
+        # The pool must be large enough that no single shared word is
+        # frequent enough to fall to the corpus stop-word cut (the
+        # pipeline removes the top-100 tokens); topics sample their
+        # ambiguous slice from it and collocations reuse it.
+        shared_pool = [fresh_word() for _ in range(max(n_shared, 1) * n_topics)]
+        topics: list[list[str]] = []
+        collocations: list[list[tuple[str, str]]] = []
+        successors: list[dict[str, tuple[str, str]]] = []
+        for _ in range(n_topics):
+            unique = [fresh_word() for _ in range(n_unique)]
+            ambiguous = (
+                [shared_pool[i] for i in rng.choice(len(shared_pool), size=n_shared,
+                                                    replace=False)]
+                if n_shared
+                else []
+            )
+            vocab = unique + ambiguous
+            # Shuffle so shared words are spread across Zipf ranks.
+            rng.shuffle(vocab)
+            topics.append(vocab)
+            # Each topic gets a successor chain over its vocabulary:
+            # every word is assigned two topic-specific successors.
+            # Text generated by walking the chain has pervasive local
+            # bigram structure, like natural language -- and because
+            # shared words get *different* successors in different
+            # topics, word order carries information that unigram
+            # evidence cannot ("Bob sues Jim" vs "Jim sues Bob").
+            succ: dict[str, tuple[str, str]] = {}
+            for word in vocab:
+                # A single successor per word keeps the topic's edge
+                # inventory small enough that a user's training
+                # stream actually covers it (tweet-scale corpora are
+                # too small for richly branching chains).
+                a = vocab[int(rng.integers(len(vocab)))]
+                succ[word] = (a, a)
+            successors.append(succ)
+            # Collocations remain available as the chain's strongest
+            # pairs (word -> first successor), capped per topic.
+            pairs = [(w, s[0]) for w, s in succ.items()][:self.collocations_per_topic]
+            collocations.append(pairs)
+        common = [fresh_word() for _ in range(self.n_common_words)]
+        return _Vocabulary(topics, common, successors, collocations)
+
+
 class LanguageInventory:
-    """Materialised vocabularies for a set of languages over shared topics.
+    """Vocabularies for a set of languages over shared topics.
 
     The latent topics are language-independent concepts; every language
     renders each topic with its own words. A user tweeting about topic 3
     in Japanese and one tweeting about topic 3 in English produce
     different surface text for the same underlying interest, exactly as
     in the real multilingual corpus.
+
+    A language's vocabulary -- topic words, common words, successor
+    chains and collocations -- is built the first time anything looks it
+    up, so a dataset pays only for the languages up to the last one its
+    users write in (the Table 3 census, which trains a detector on every
+    language, builds the rest). All languages draw from one private
+    generator, always in declaration order: looking up language *i*
+    first builds every unbuilt language before it. Nothing else draws
+    from that generator, so each language's words are the same whatever
+    order the lookups come in, and the same as building all of them up
+    front.
 
     Parameters
     ----------
@@ -133,6 +264,12 @@ class LanguageInventory:
         over unigram evidence.
     seed:
         Reproducibility seed for vocabulary materialisation.
+
+    Raises
+    ------
+    DataGenerationError
+        On the first lookup that reaches a language whose alphabet cannot
+        supply enough distinct words; the languages before it stay usable.
     """
 
     def __init__(
@@ -159,7 +296,6 @@ class LanguageInventory:
         self.n_common_words = n_common_words
         self.shared_word_fraction = shared_word_fraction
         self.collocations_per_topic = collocations_per_topic
-        rng = np.random.default_rng(seed)
 
         total = sum(p for _, p in languages)
         self._languages = [lang for lang, _ in languages]
@@ -170,73 +306,15 @@ class LanguageInventory:
         ranks = np.arange(1, words_per_topic + 1, dtype=float)
         weights = ranks ** (-zipf_exponent)
         self._zipf_cdf = categorical_cdf(weights / weights.sum())
-
-        # topic_words[lang][topic] -> list of words; common_words[lang] -> list
-        self._topic_words: dict[str, list[list[str]]] = {}
-        self._common_words: dict[str, list[str]] = {}
-        self._collocations: dict[str, list[list[tuple[str, str]]]] = {}
-        self._successors: dict[str, list[dict[str, tuple[str, str]]]] = {}
-        n_shared = int(round(words_per_topic * shared_word_fraction))
-        n_unique = words_per_topic - n_shared
-        for lang in self._languages:
-            seen: set[str] = set()
-
-            def fresh_word() -> str:
-                # Rejection-sample until the word is new in this language,
-                # so unique vocabularies do not alias each other.
-                for _ in range(1000):
-                    word = lang.make_word(rng)
-                    if word not in seen:
-                        seen.add(word)
-                        return word
-                raise DataGenerationError(
-                    f"language {lang.name!r}: could not generate enough distinct words"
-                )
-
-            # The pool must be large enough that no single shared word is
-            # frequent enough to fall to the corpus stop-word cut (the
-            # pipeline removes the top-100 tokens); topics sample their
-            # ambiguous slice from it and collocations reuse it.
-            shared_pool = [fresh_word() for _ in range(max(n_shared, 1) * n_topics)]
-            topics: list[list[str]] = []
-            collocations: list[list[tuple[str, str]]] = []
-            successors: list[dict[str, tuple[str, str]]] = []
-            for _ in range(n_topics):
-                unique = [fresh_word() for _ in range(n_unique)]
-                ambiguous = (
-                    [shared_pool[i] for i in rng.choice(len(shared_pool), size=n_shared,
-                                                        replace=False)]
-                    if n_shared
-                    else []
-                )
-                vocab = unique + ambiguous
-                # Shuffle so shared words are spread across Zipf ranks.
-                rng.shuffle(vocab)
-                topics.append(vocab)
-                # Each topic gets a successor chain over its vocabulary:
-                # every word is assigned two topic-specific successors.
-                # Text generated by walking the chain has pervasive local
-                # bigram structure, like natural language -- and because
-                # shared words get *different* successors in different
-                # topics, word order carries information that unigram
-                # evidence cannot ("Bob sues Jim" vs "Jim sues Bob").
-                succ: dict[str, tuple[str, str]] = {}
-                for word in vocab:
-                    # A single successor per word keeps the topic's edge
-                    # inventory small enough that a user's training
-                    # stream actually covers it (tweet-scale corpora are
-                    # too small for richly branching chains).
-                    a = vocab[int(rng.integers(len(vocab)))]
-                    succ[word] = (a, a)
-                successors.append(succ)
-                # Collocations remain available as the chain's strongest
-                # pairs (word -> first successor), capped per topic.
-                pairs = [(w, s[0]) for w, s in succ.items()][:collocations_per_topic]
-                collocations.append(pairs)
-            self._topic_words[lang.name] = topics
-            self._collocations[lang.name] = collocations
-            self._successors[lang.name] = successors
-            self._common_words[lang.name] = [fresh_word() for _ in range(n_common_words)]
+        self._vocabularies = _Vocabularies(
+            self._languages,
+            np.random.default_rng(seed),
+            n_topics,
+            words_per_topic,
+            int(round(words_per_topic * shared_word_fraction)),
+            n_common_words,
+            collocations_per_topic,
+        )
 
     # -- lookups ---------------------------------------------------------------
 
@@ -284,23 +362,23 @@ class LanguageInventory:
         return assigned
 
     def topic_words(self, language: str, topic: int) -> list[str]:
-        return self._topic_words[language][topic]
+        return self._vocabularies[language].topic_words[topic]
 
     def common_words(self, language: str) -> list[str]:
-        return self._common_words[language]
+        return self._vocabularies[language].common_words
 
     def sample_topic_word(self, language: str, topic: int, rng: np.random.Generator) -> str:
         """Draw a word from the (language, topic) Zipf distribution."""
-        words = self._topic_words[language][topic]
+        words = self._vocabularies[language].topic_words[topic]
         return words[draw(self._zipf_cdf, rng)]
 
     def sample_common_word(self, language: str, rng: np.random.Generator) -> str:
-        words = self._common_words[language]
+        words = self._vocabularies[language].common_words
         return words[int(rng.integers(len(words)))]
 
     def successors(self, language: str, topic: int, word: str) -> tuple[str, str] | None:
         """The two chain successors of ``word`` in a topic, if any."""
-        return self._successors[language][topic].get(word)
+        return self._vocabularies[language].successors[topic].get(word)
 
     def sample_chain(
         self,
@@ -316,10 +394,11 @@ class LanguageInventory:
         lengths, as in natural phrases), picking one of the two
         topic-specific successors uniformly.
         """
-        word = self.sample_topic_word(language, topic, rng)
-        chain = [word]
+        vocabulary = self._vocabularies[language]
+        successors = vocabulary.successors[topic]
+        chain = [vocabulary.topic_words[topic][draw(self._zipf_cdf, rng)]]
         while len(chain) < max_length and rng.random() < continue_probability:
-            nxt = self._successors[language][topic].get(chain[-1])
+            nxt = successors.get(chain[-1])
             if nxt is None:
                 break
             chain.append(nxt[int(rng.integers(2))])
@@ -327,13 +406,13 @@ class LanguageInventory:
 
     def collocations(self, language: str, topic: int) -> list[tuple[str, str]]:
         """The topic's fixed two-word collocations (may be empty)."""
-        return list(self._collocations[language][topic])
+        return list(self._vocabularies[language].collocations[topic])
 
     def sample_collocation(
         self, language: str, topic: int, rng: np.random.Generator
     ) -> tuple[str, str] | None:
         """Draw one collocation of a topic, or ``None`` if it has none."""
-        pairs = self._collocations[language][topic]
+        pairs = self._vocabularies[language].collocations[topic]
         if not pairs:
             return None
         return pairs[int(rng.integers(len(pairs)))]

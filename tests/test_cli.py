@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.pipeline import ExperimentPipeline
+from repro.obs.tracing import Span
 
 SMALL = ["--users", "16", "--ticks", "40", "--seed", "4",
          "--group-size", "3", "--min-retweets", "3"]
@@ -193,6 +194,24 @@ class TestParallelAndResume:
         }
         assert workers == {0, 1}
         assert parallel_keys == serial_keys
+
+    def test_one_worker_setup_span_per_worker_lane(self, sweeps):
+        # A worker rebuilds the pipeline before its first cell; that
+        # set-up ships as one worker.setup span, beside the cells.
+        def setups(trace):
+            return [
+                Span.from_dict(child)
+                for root in trace["spans"]
+                for child in root.get("children", ())
+                if child["name"] == "worker.setup"
+            ]
+
+        parallel = setups(sweeps["parallel"][1])
+        assert sorted(span.attributes["worker"] for span in parallel) == [0, 1]
+        assert setups(sweeps["serial"][1]) == []
+        # Set-up is neither training nor testing time.
+        for span in parallel:
+            assert span.total("fit") == span.total("profiles") == span.total("rank") == 0.0
 
     def test_journal_written_and_resume_restores(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
